@@ -1,15 +1,19 @@
-"""Run the full prediction protocol on a user-supplied dataset.
+"""Run the full prediction protocol on a dataset.
 
 Takes a raw triplet file, POS tags, and semantic vectors, then chains
 prepare -> train -> predict -> eval -> analyze with the stock
-hyperparameters (embedding dimension 800, 1000 epochs).  At that scale
-training takes hours; pass --dimension/--epochs to scale down, or
---set for any other setting.
+hyperparameters (embedding dimension 800, 1000 epochs).  Without
+--triplets/--pos/--vectors it first generates a synthetic dataset with
+known ground truth (``semepred synth``, sized by the synth.* settings).
+At stock scale training takes hours; pass --dimension/--epochs to scale
+down, or --set for any other setting.
 
 Usage:
     python3 scripts/run_full_protocol.py \
         --triplets data/triplets.tsv --pos data/pos.tsv \
         --vectors data/vectors.tsv --out runs/full
+    python3 scripts/run_full_protocol.py --out runs/synthetic \
+        --dimension 64 --epochs 200 --set train.batch_size=256
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ def run(args: list[str]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--triplets", required=True, help="raw triplet TSV")
-    parser.add_argument("--pos", required=True, help="POS tag TSV")
-    parser.add_argument("--vectors", required=True, help="semantic vector file")
+    parser.add_argument("--triplets", help="raw triplet TSV")
+    parser.add_argument("--pos", help="POS tag TSV")
+    parser.add_argument("--vectors", help="semantic vector file")
     parser.add_argument("--out", default="runs/full", help="workspace directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dimension", type=int, default=None, help="override train.dimension")
@@ -42,6 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         help="extra setting overrides, passed through to every step",
     )
     args = parser.parse_args(argv)
+    data = (args.triplets, args.pos, args.vectors)
+    if any(data) and not all(data):
+        parser.error("give all of --triplets, --pos and --vectors, or none for a synthetic dataset")
 
     out = Path(args.out)
     common = ["--seed", str(args.seed)]
@@ -52,19 +59,24 @@ def main(argv: list[str] | None = None) -> int:
         train_overrides += ["--set", f"train.dimension={args.dimension}"]
     if args.epochs is not None:
         train_overrides += ["--set", f"train.epochs={args.epochs}"]
-    prep, trained, pred, evaled, analyzed = (
-        out / n for n in ("prepared", "trained", "predictions", "report", "analysis")
+    synth, prep, trained, pred, evaled, analyzed = (
+        out / n for n in ("synth", "prepared", "trained", "predictions", "report", "analysis")
     )
 
+    if all(data):
+        triplets, pos, vectors = data
+    else:
+        run(["synth", *common, "--out", str(synth)])
+        triplets, pos, vectors = (str(synth / n) for n in ("triplets.tsv", "pos.tsv", "vectors.tsv"))
     run([
-        "prepare", *common, "--triplets", args.triplets, "--pos", args.pos, "--out", str(prep),
+        "prepare", *common, "--triplets", triplets, "--pos", pos, "--out", str(prep),
     ])
     run([
         "train", *train_overrides, "--data", str(prep / "dataset.tsv"), "--out", str(trained),
     ])
     run([
         "predict", *common, "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
-        "--embeddings", str(trained / "embeddings.tsv"), "--vectors", args.vectors,
+        "--embeddings", str(trained / "embeddings.tsv"), "--vectors", vectors,
         "--split", "test", "--out", str(pred),
     ])
     run([

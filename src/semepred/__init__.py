@@ -60,7 +60,6 @@ from .kge import (
     TrainResult,
     equivalence_loss,
     margin_ranking_loss,
-    negative_sample,
     rank_sememes,
     score_triplet,
     train,
@@ -115,7 +114,6 @@ __all__ = [
     "load_triplets",
     "make_triplet",
     "margin_ranking_loss",
-    "negative_sample",
     "rank_neighbors",
     "rank_sememes",
     "reciprocal_scores",

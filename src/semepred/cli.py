@@ -317,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one setting; repeatable",
     )
     common.add_argument("--seed", default=argparse.SUPPRESS, help="global random seed")
-    common.add_argument(
-        "--threads",
-        default=argparse.SUPPRESS,
-        help="worker threads; the pipeline runs sequentially and deterministically either way",
-    )
     parser = _Parser(prog="semepred", description="Sememe prediction pipeline", parents=[common])
     subparsers = parser.add_subparsers(dest="command", required=True)
     helps = {
@@ -353,8 +348,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     flag_overrides: dict[str, str] = {}
     if getattr(args, "seed", None) is not None:
         flag_overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        flag_overrides["threads"] = args.threads
     for flag, key in _FLAG_KEYS[args.command]:
         value = getattr(args, flag, None)
         if value is not None:

@@ -26,7 +26,6 @@ ENV_PREFIX = "SEMEPRED_"
 # key -> (type tag, default); type tags: int, float, bool, str, ints, floats
 SCHEMA: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
-    "threads": ("int", 1),
     "out": ("str", "out"),
     "prepare.triplets": ("str", ""),
     "prepare.pos": ("str", ""),
@@ -48,7 +47,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "train.batch_size": ("int", 1024),
     "train.negatives": ("int", 1),
     "train.normalize_entities": ("bool", True),
-    "train.deterministic": ("bool", True),
     "train.corrupt_heads": ("bool", False),
     "train.type_consistent_negatives": ("bool", False),
     "train.max_resample": ("int", 100),
@@ -205,8 +203,6 @@ def resolve(
 
 
 def _validate(settings: Settings) -> None:
-    if int(settings["threads"]) < 1:
-        raise ConfigError(f"threads must be >= 1, got {settings['threads']}")
     model = settings["predict.model"]
     if model not in ("fused", "similarity", "translation"):
         raise ConfigError(f"predict.model must be fused, similarity, or translation, got {model!r}")
@@ -232,7 +228,6 @@ def train_config(settings: Settings) -> TrainConfig:
         negatives_per_positive=int(settings["train.negatives"]),
         seed=int(settings["seed"]),
         normalize_entities=bool(settings["train.normalize_entities"]),
-        deterministic=bool(settings["train.deterministic"]),
         corrupt_heads=bool(settings["train.corrupt_heads"]),
         type_consistent_negatives=bool(settings["train.type_consistent_negatives"]),
         max_resample=int(settings["train.max_resample"]),

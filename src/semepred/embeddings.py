@@ -19,6 +19,7 @@ from .graph import (
     NodeId,
     RelationId,
     RelationKind,
+    Triplet,
     TripletStore,
 )
 
@@ -37,6 +38,8 @@ def write_vector_file(path: str | Path, dimension: int, rows: Iterable[tuple[str
 
 
 def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]]]:
+    """Rows of a vector file in file order; malformed or non-finite
+    components and repeated ids fail naming ``path:line``."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -46,6 +49,7 @@ def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]
         if dimension <= 0:
             raise ParseError(f"{path}:1: dimension must be positive, got {dimension}")
         rows: list[tuple[str, np.ndarray]] = []
+        seen: set[str] = set()
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -61,6 +65,11 @@ def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]
                 raise ParseError(
                     f"{path}:{lineno}: vector has {vec.shape[0]} components, header says {dimension}"
                 )
+            if not np.all(np.isfinite(vec)):
+                raise ParseError(f"{path}:{lineno}: non-finite vector component")
+            if fields[0] in seen:
+                raise ValidationError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
+            seen.add(fields[0])
             rows.append((fields[0], vec))
     return dimension, rows
 
@@ -114,6 +123,15 @@ class EmbeddingTable:
 
     def relation_vector(self, relation: RelationId) -> np.ndarray:
         return self.relation_matrix[self.relation_index(relation)]
+
+    def triplet_rows(self, triplets: Iterable[Triplet]) -> np.ndarray:
+        """``(n, 3)`` array of (head, relation, tail) rows, the form the
+        trainer works in."""
+        rows = [
+            (self.node_index(t.head), self.relation_index(t.relation), self.node_index(t.tail))
+            for t in triplets
+        ]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), 3)
 
     def have_sememe_relation(self) -> RelationId:
         for r in self.relation_ids:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .graph import (
     EQUIVALENCE_RELATION,
     NodeId,
     NodeKind,
-    RelationId,
     Split,
     Triplet,
     TripletStore,
@@ -42,10 +41,8 @@ from .ranking import ScoredRanking
 class TrainConfig:
     """Hyperparameters for embedding training.
 
-    The implementation always runs the strictly sequential seeded update
-    schedule, so results are reproducible for a fixed seed whether or not
-    ``deterministic`` is set; the flag records the reproducibility contract
-    in configs.
+    Training runs a strictly sequential seeded update schedule, so results
+    are reproducible for a fixed seed.
     """
 
     dimension: int = 800
@@ -58,7 +55,6 @@ class TrainConfig:
     negatives_per_positive: int = 1
     seed: int = 0
     normalize_entities: bool = True
-    deterministic: bool = True
     corrupt_heads: bool = False
     type_consistent_negatives: bool = False
     max_resample: int = 100
@@ -82,19 +78,7 @@ class TrainConfig:
             raise ConfigError(f"max_resample must be >= 1, got {self.max_resample}")
 
 
-class CorruptedTriplet(NamedTuple):
-    """A negative-sampled triplet; unlike :class:`Triplet` it may mix node
-    kinds illegally, since corruption draws tails from all nodes."""
-
-    head: NodeId
-    relation: RelationId
-    tail: NodeId
-
-
-TripletLike = Triplet | CorruptedTriplet
-
-
-def score_triplet(table: EmbeddingTable, triplet: TripletLike) -> float:
+def score_triplet(table: EmbeddingTable, triplet: Triplet) -> float:
     """Squared translated distance ``||h + r - t||^2``; zero iff h + r = t."""
     diff = (
         table.node_vector(triplet.head)
@@ -107,91 +91,87 @@ def score_triplet(table: EmbeddingTable, triplet: TripletLike) -> float:
 class NegativeSampler:
     """Draws corrupted counterparts for train triplets.
 
-    By default only the tail is replaced, uniformly over all nodes, and
-    the draw is repeated until the corrupted triplet is absent from the
-    train split.  ``corrupt_heads`` flips a fair coin per draw between
-    head and tail replacement; ``type_consistent`` restricts the pool to
-    nodes of the replaced endpoint's kind.
+    Triplets are ``(head, relation, tail)`` rows of ``table``, one per row
+    of an ``(n, 3)`` integer array, and ``train`` holds the train split in
+    that form.  By default only the tail is replaced, uniformly over all
+    nodes, and the draw is repeated until the corrupted triplet is absent
+    from the train split.  ``corrupt_heads`` flips a fair coin per draw
+    between head and tail replacement; ``type_consistent`` restricts the
+    pool to nodes of the replaced endpoint's kind.
     """
 
     def __init__(
         self,
-        store: TripletStore,
+        table: EmbeddingTable,
+        train: np.ndarray,
         corrupt_heads: bool = False,
         type_consistent: bool = False,
         max_resample: int = 100,
     ) -> None:
         if max_resample < 1:
             raise ConfigError(f"max_resample must be >= 1, got {max_resample}")
-        self._train = frozenset((t.head, t.relation, t.tail) for t in store.triplets_in(Split.TRAIN))
-        self._all_nodes = store.nodes
-        self._by_kind = {
-            kind: tuple(n for n in store.nodes if n.kind is kind) for kind in NodeKind
+        self._table = table
+        self._n_nodes, self._n_relations = len(table.node_ids), len(table.relation_ids)
+        self._bounds = np.array([self._n_nodes, self._n_relations, self._n_nodes])
+        self._train = {self._key(*row) for row in train.tolist()}
+        # Pools list node rows in name order, so a seeded rng draws the same
+        # nodes as a draw over the store's name-sorted ids.
+        all_nodes = range(self._n_nodes)
+        by_kind = {
+            kind: tuple(i for i, n in enumerate(table.node_ids) if n.kind is kind) for kind in NodeKind
         }
+        self._pool_of = tuple(by_kind[n.kind] if type_consistent else all_nodes for n in table.node_ids)
         self._corrupt_heads = corrupt_heads
-        self._type_consistent = type_consistent
         self._max_resample = max_resample
 
-    def sample(self, positive: Triplet, rng: random.Random) -> CorruptedTriplet:
-        if (positive.head, positive.relation, positive.tail) not in self._train:
-            raise ContractError(f"positive triplet is not in the train split: {positive.head}")
-        for _ in range(self._max_resample):
-            replace_head = self._corrupt_heads and rng.random() < 0.5
-            kept = positive.tail if replace_head else positive.head
-            replaced = positive.head if replace_head else positive.tail
-            pool = self._by_kind[replaced.kind] if self._type_consistent else self._all_nodes
-            drawn = pool[rng.randrange(len(pool))]
-            candidate = (
-                (drawn, positive.relation, kept)
-                if replace_head
-                else (kept, positive.relation, drawn)
-            )
-            if candidate not in self._train:
-                return CorruptedTriplet(*candidate)
-        raise SamplingError(
-            f"no corrupted triplet found for ({positive.head}, {positive.relation.name}, "
-            f"{positive.tail}) after {self._max_resample} draws"
-        )
+    def _key(self, head: int, relation: int, tail: int) -> int:
+        # Injective for rows inside the table's bounds.
+        return (head * self._n_relations + relation) * self._n_nodes + tail
 
+    def _describe(self, head: int, relation: int, tail: int) -> str:
+        nodes, relations = self._table.node_ids, self._table.relation_ids
+        return f"({nodes[head]}, {relations[relation].name}, {nodes[tail]})"
 
-def negative_sample(
-    store: TripletStore,
-    positive: Triplet,
-    rng: random.Random,
-    corrupt_heads: bool = False,
-    type_consistent: bool = False,
-    max_resample: int = 100,
-) -> CorruptedTriplet:
-    """One-shot convenience wrapper around :class:`NegativeSampler`."""
-    sampler = NegativeSampler(store, corrupt_heads, type_consistent, max_resample)
-    return sampler.sample(positive, rng)
-
-
-def _index_arrays(
-    table: EmbeddingTable, triplets: Sequence[TripletLike]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    heads = np.array([table.node_index(t.head) for t in triplets], dtype=np.intp)
-    rels = np.array([table.relation_index(t.relation) for t in triplets], dtype=np.intp)
-    tails = np.array([table.node_index(t.tail) for t in triplets], dtype=np.intp)
-    return heads, rels, tails
+    def sample(self, positives: np.ndarray, rng: random.Random) -> np.ndarray:
+        """One corrupted triplet per row of ``positives``, drawn in row order."""
+        if len(positives) and (positives.min() < 0 or np.any(positives.max(axis=0) >= self._bounds)):
+            raise ContractError("positive triplet rows lie outside the embedding table")
+        negatives: list[tuple[int, int, int]] = []
+        for head, relation, tail in positives.tolist():
+            if self._key(head, relation, tail) not in self._train:
+                raise ContractError(
+                    f"positive triplet is not in the train split: {self._describe(head, relation, tail)}"
+                )
+            for _ in range(self._max_resample):
+                replace_head = self._corrupt_heads and rng.random() < 0.5
+                pool = self._pool_of[head if replace_head else tail]
+                drawn = pool[rng.randrange(len(pool))]
+                candidate = (drawn, relation, tail) if replace_head else (head, relation, drawn)
+                if self._key(*candidate) not in self._train:
+                    negatives.append(candidate)
+                    break
+            else:
+                raise SamplingError(
+                    f"no corrupted triplet found for {self._describe(head, relation, tail)} "
+                    f"after {self._max_resample} draws"
+                )
+        return np.array(negatives, dtype=np.intp).reshape(len(negatives), 3)
 
 
 def _margin_contributions(
     node_m: np.ndarray,
     rel_m: np.ndarray,
-    pos_h: np.ndarray,
-    pos_r: np.ndarray,
-    pos_t: np.ndarray,
-    neg_h: np.ndarray,
-    neg_r: np.ndarray,
-    neg_t: np.ndarray,
+    positives: np.ndarray,
+    negatives: np.ndarray,
     margin: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hinge loss plus sparse gradient rows for aligned pos/neg batches.
+    """Hinge loss plus sparse gradient rows for aligned pos/neg row batches.
 
     Returns (loss, node_indices, node_rows, relation_indices,
     relation_rows); duplicate indices accumulate under ``np.add.at``.
     """
+    pos_h, pos_r, pos_t = positives.T
+    neg_h, neg_r, neg_t = negatives.T
     diff_pos = node_m[pos_h] + rel_m[pos_r] - node_m[pos_t]
     diff_neg = node_m[neg_h] + rel_m[neg_r] - node_m[neg_t]
     d_pos = np.einsum("ij,ij->i", diff_pos, diff_pos)
@@ -237,9 +217,14 @@ def _equivalence_contributions(
     return loss, node_idx, node_rows, rel_idx, two_res.copy()
 
 
+AnnotationGroups = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _annotation_groups(
     table: EmbeddingTable, annotations: Mapping[NodeId, frozenset[NodeId]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> AnnotationGroups:
+    """Annotated synset rows in ascending order, their name-sorted sememe
+    rows concatenated, and each group's start in that concatenation."""
     synset_rows: list[int] = []
     sememe_flat: list[int] = []
     offsets: list[int] = []
@@ -257,32 +242,34 @@ def _annotation_groups(
     )
 
 
+def _groups_touching(groups: AnnotationGroups, rows: np.ndarray) -> AnnotationGroups:
+    """The groups whose synset row occurs in ``rows``, in the same layout."""
+    synset_rows, sememe_flat, offsets = groups
+    keep = np.isin(synset_rows, rows)
+    counts = np.diff(offsets, append=len(sememe_flat))[keep]
+    starts = np.cumsum(counts) - counts
+    flat = sememe_flat[np.repeat(offsets[keep] - starts, counts) + np.arange(counts.sum())]
+    return synset_rows[keep], flat, starts
+
+
 def margin_ranking_loss(
-    table: EmbeddingTable,
-    positives: Sequence[TripletLike],
-    negatives: Sequence[TripletLike],
-    margin: float,
+    table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float
 ) -> float:
-    """Sum of ``[margin + d_pos - d_neg]+`` over aligned pairs."""
+    """Sum of ``[margin + d_pos - d_neg]+`` over aligned ``(n, 3)`` row pairs."""
     loss, _, _ = margin_loss_gradients(table, positives, negatives, margin)
     return loss
 
 
 def margin_loss_gradients(
-    table: EmbeddingTable,
-    positives: Sequence[TripletLike],
-    negatives: Sequence[TripletLike],
-    margin: float,
+    table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Hinge loss with dense gradients w.r.t. the node and relation matrices."""
-    if len(positives) != len(negatives):
+    if positives.shape != negatives.shape:
         raise ContractError(
             f"positives and negatives must align pairwise: {len(positives)} vs {len(negatives)}"
         )
-    pos_h, pos_r, pos_t = _index_arrays(table, positives)
-    neg_h, neg_r, neg_t = _index_arrays(table, negatives)
     loss, node_idx, node_rows, rel_idx, rel_rows = _margin_contributions(
-        table.node_matrix, table.relation_matrix, pos_h, pos_r, pos_t, neg_h, neg_r, neg_t, margin
+        table.node_matrix, table.relation_matrix, positives, negatives, margin
     )
     node_grad = np.zeros_like(table.node_matrix)
     rel_grad = np.zeros_like(table.relation_matrix)
@@ -304,9 +291,8 @@ def equivalence_loss_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Equivalence loss with dense gradients w.r.t. both matrices."""
     eq_rel_row = table.relation_index(EQUIVALENCE_RELATION)
-    synset_rows, sememe_flat, offsets = _annotation_groups(table, annotations)
     loss, node_idx, node_rows, rel_idx, rel_rows = _equivalence_contributions(
-        table.node_matrix, table.relation_matrix, eq_rel_row, synset_rows, sememe_flat, offsets
+        table.node_matrix, table.relation_matrix, eq_rel_row, *_annotation_groups(table, annotations)
     )
     node_grad = np.zeros_like(table.node_matrix)
     rel_grad = np.zeros_like(table.relation_matrix)
@@ -366,27 +352,22 @@ def train(store: TripletStore, config: TrainConfig) -> TrainResult:
     all entity vectors stay at unit length.  The per-epoch trace records
     the batch losses as encountered, before each batch's update.
     """
-    positives = sorted(store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key)
-    if not positives:
+    ordered = sorted(store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key)
+    if not ordered:
         raise ContractError("cannot train: the train split is empty")
     table = init_embeddings(store, config)
     node_m = table.node_matrix
     rel_m = table.relation_matrix
+    positives = table.triplet_rows(ordered)
     rng = random.Random(config.seed)
     sampler = NegativeSampler(
-        store,
+        table,
+        positives,
         corrupt_heads=config.corrupt_heads,
         type_consistent=config.type_consistent_negatives,
         max_resample=config.max_resample,
     )
-    pos_h, pos_r, pos_t = _index_arrays(table, positives)
-
-    annotations = store.annotation_map(Split.TRAIN)
-    sememe_rows_of: dict[int, tuple[int, ...]] = {}
-    for synset in annotations:
-        sememe_rows_of[table.node_index(synset)] = tuple(
-            table.node_index(s) for s in sorted(annotations[synset], key=lambda n: n.name)
-        )
+    groups = _annotation_groups(table, store.annotation_map(Split.TRAIN))
     eq_rel_row = table.relation_index(EQUIVALENCE_RELATION)
 
     order = list(range(len(positives)))
@@ -396,43 +377,14 @@ def train(store: TripletStore, config: TrainConfig) -> TrainResult:
         l1_sum = 0.0
         l2_sum = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            expanded: list[int] = []
-            negatives: list[CorruptedTriplet] = []
-            for i in batch:
-                for _ in range(config.negatives_per_positive):
-                    negatives.append(sampler.sample(positives[i], rng))
-                    expanded.append(i)
-            neg_h, neg_r, neg_t = _index_arrays(table, negatives)
+            batch = positives[order[start : start + config.batch_size]]
+            expanded = np.repeat(batch, config.negatives_per_positive, axis=0)
             l1, n_idx1, n_rows1, r_idx1, r_rows1 = _margin_contributions(
-                node_m,
-                rel_m,
-                pos_h[expanded],
-                pos_r[expanded],
-                pos_t[expanded],
-                neg_h,
-                neg_r,
-                neg_t,
-                config.margin,
+                node_m, rel_m, expanded, sampler.sample(expanded, rng), config.margin
             )
-
-            if config.equivalence_weight > 0:
-                batch_rows = set(pos_h[batch].tolist()) | set(pos_t[batch].tolist())
-                group_rows = sorted(row for row in batch_rows if row in sememe_rows_of)
-            else:
-                group_rows = []
-            flat: list[int] = []
-            offsets: list[int] = []
-            for row in group_rows:
-                offsets.append(len(flat))
-                flat.extend(sememe_rows_of[row])
+            endpoints = batch[:, ::2] if config.equivalence_weight > 0 else batch[:0]
             l2, n_idx2, n_rows2, r_idx2, r_rows2 = _equivalence_contributions(
-                node_m,
-                rel_m,
-                eq_rel_row,
-                np.array(group_rows, dtype=np.intp),
-                np.array(flat, dtype=np.intp),
-                np.array(offsets, dtype=np.intp),
+                node_m, rel_m, eq_rel_row, *_groups_touching(groups, endpoints)
             )
             l1_sum += l1
             l2_sum += l2

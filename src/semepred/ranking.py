@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -13,9 +14,10 @@ from .graph import NodeId
 class ScoredRanking:
     """A target synset's candidate sememes ordered best-first.
 
-    Entries are (sememe, score) pairs sorted by descending score with
-    lexicographic name order breaking ties, so equal inputs always yield
-    identical rankings.  Ranks are 1-based positions in that order.
+    Entries are (sememe, score) pairs with finite scores, sorted by
+    descending score with lexicographic name order breaking ties, so equal
+    inputs always yield identical rankings.  Ranks are 1-based positions
+    in that order.
     """
 
     target: NodeId
@@ -27,6 +29,9 @@ class ScoredRanking:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"ranking for {self.target} repeats sememes: {dupes}")
+        non_finite = [s.name for s, v in self.entries if not math.isfinite(v)]
+        if non_finite:
+            raise ValidationError(f"ranking for {self.target} has non-finite scores for {non_finite}")
         for i in range(1, len(self.entries)):
             prev, cur = self.entries[i - 1], self.entries[i]
             if cur[1] > prev[1] or (cur[1] == prev[1] and cur[0].name < prev[0].name):

@@ -91,12 +91,7 @@ class SemanticVectorStore:
         cls, path: str | Path, known_synsets: Iterable[NodeId] | None = None
     ) -> "SemanticVectorStore":
         dimension, rows = read_vector_file(path)
-        vectors: dict[NodeId, np.ndarray] = {}
-        for name, vec in rows:
-            node = NodeId.parse(name)
-            if node in vectors:
-                raise ValidationError(f"{path}: duplicate semantic vector for {node}")
-            vectors[node] = vec
+        vectors = {NodeId.parse(name): vec for name, vec in rows}
         store = cls(dimension, vectors)
         if known_synsets is not None:
             known = set(known_synsets)

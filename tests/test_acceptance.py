@@ -44,7 +44,6 @@ from semepred.cli import main as cli_main
 from semepred.fusion import PredictionResult, Provenance
 from semepred.graph import EQUIVALENCE_RELATION
 from semepred.kge import (
-    CorruptedTriplet,
     equivalence_loss,
     equivalence_loss_gradients,
     margin_loss_gradients,
@@ -105,16 +104,17 @@ def test_c1_gradients_match_finite_differences():
         make_triplet(c, "have_sememe", p),
     ]
     assert len(positives) == 6
-    negatives = [
-        CorruptedTriplet(t.head, t.relation, tail)
-        for t, tail in zip(positives, [c, a, b, q, p, q])
-    ]
     relations = {t.relation for t in positives} | {EQUIVALENCE_RELATION}
     table = build_table(
         4,
         {n: rng.normal(size=4) for n in (a, b, c, p, q)},
         {r: rng.normal(size=4) for r in relations},
     )
+    negatives = np.array([
+        [table.node_index(t.head), table.relation_index(t.relation), table.node_index(tail)]
+        for t, tail in zip(positives, [c, a, b, q, p, q])
+    ])
+    positives = table.triplet_rows(positives)
     annotations = {
         a: frozenset({p}),
         b: frozenset({q}),
@@ -403,9 +403,9 @@ def test_c6_hand_fixtures_reproduce_exactly():
         {a: [0.0, 0.0, 0.0], b: [0.0, 0.0, 1.0], c: [0.0, 0.0, 0.0]},
         {RelationId(RelationKind.SYNSET_SYNSET, "related"): [1.0, 1.0, 1.0]},
     )
-    positive = make_triplet(a, "related", b)
-    negative = CorruptedTriplet(a, positive.relation, c)
-    assert margin_ranking_loss(table, [positive], [negative], margin=4.0) == 3.0
+    positive = table.triplet_rows([make_triplet(a, "related", b)])
+    negative = np.array([[table.node_index(a), positive[0, 1], table.node_index(c)]])
+    assert margin_ranking_loss(table, positive, negative, margin=4.0) == 3.0
 
     # Equivalence loss in one dimension: (1.0 + 0.5 - 2.0)^2.
     p, q = sememe_id("p"), sememe_id("q")
@@ -460,13 +460,13 @@ def _run_pipeline(base: Path, synth: Path, seed: str) -> dict[str, bytes]:
         "--pos", str(synth / "pos.tsv"), "--out", str(prep),
     ]) == 0
     assert cli_main([
-        "train", "--seed", seed, "--threads", "1",
+        "train", "--seed", seed,
         "--data", str(prep / "dataset.tsv"), "--out", str(trained),
         "--set", "train.dimension=16", "--set", "train.epochs=20",
         "--set", "train.batch_size=256",
     ]) == 0
     assert cli_main([
-        "predict", "--seed", seed, "--threads", "1",
+        "predict", "--seed", seed,
         "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
         "--embeddings", str(trained / "embeddings.tsv"),
         "--vectors", str(synth / "vectors.tsv"),

@@ -107,14 +107,14 @@ class TestResolve:
 
     def test_precedence_chain(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("seed = 1\ntrain.margin = 1.0\nsr.decay = 0.5\nthreads = 3\n")
+        path.write_text("seed = 1\ntrain.margin = 1.0\nsr.decay = 0.5\ntrain.epochs = 3\n")
         settings = resolve(
             config_path=path,
             sets=["sr.decay=0.7", "seed=3"],
             environ={"SEMEPRED_SEED": "2", "SEMEPRED_TRAIN__MARGIN": "2.0"},
             flag_overrides={"seed": "4"},
         )
-        assert settings["threads"] == 3  # file beats default
+        assert settings["train.epochs"] == 3  # file beats default
         assert settings["train.margin"] == 2.0  # env beats file
         assert settings["sr.decay"] == 0.7  # --set beats env
         assert settings["seed"] == 4  # flag beats --set
@@ -134,7 +134,6 @@ class TestResolve:
     @pytest.mark.parametrize(
         "sets",
         [
-            ["threads=0"],
             ["predict.model=neural"],
             ["eval.split=holdout"],
             ["eval.f1_mode=pooled"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -11,28 +12,32 @@ from helpers import build_table
 from semepred import (
     ConfigError,
     ContractError,
+    EmbeddingTable,
     NegativeSampler,
+    ParseError,
     Pos,
     SamplingError,
     Split,
     TrainConfig,
     TrainingError,
     TripletStore,
+    ValidationError,
     equivalence_loss,
     init_embeddings,
     make_triplet,
     margin_ranking_loss,
-    negative_sample,
     rank_sememes,
     score_triplet,
     sememe_id,
     synset_id,
     train,
 )
+from semepred.embeddings import write_vector_file
 from semepred.graph import EQUIVALENCE_RELATION, RelationId, RelationKind
 from semepred.kge import (
-    CorruptedTriplet,
     EpochLoss,
+    _annotation_groups,
+    _groups_touching,
     equivalence_loss_gradients,
     load_loss_trace,
     margin_loss_gradients,
@@ -100,6 +105,22 @@ class TestInitEmbeddings:
         assert not np.allclose(norms, 1.0)
 
 
+class TestEmbeddingFile:
+    def test_duplicate_id_names_the_line(self, tmp_path):
+        path = tmp_path / "embeddings.tsv"
+        rows = [("sem:x", np.ones(2)), ("sem:y", np.ones(2)), ("syn:a", np.ones(2)), ("syn:a", np.zeros(2))]
+        write_vector_file(path, 2, rows)
+        with pytest.raises(ValidationError, match=r"embeddings\.tsv:5: duplicate id 'syn:a'"):
+            EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_the_line(self, tmp_path, component):
+        path = tmp_path / "embeddings.tsv"
+        path.write_text(f"D=2\nsyn:a\t1.0 0.5\nsyn:b\t1.0 {component}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"embeddings\.tsv:3: non-finite"):
+            EmbeddingTable.load(path)
+
+
 class TestScoreTriplet:
     def test_exact_translation_scores_zero(self):
         a, b = synset_id("a"), synset_id("b")
@@ -135,51 +156,75 @@ def _chain_store(n: int) -> TripletStore:
     return TripletStore(triplets, pos_tags={synsets[-1]: Pos.NOUN})
 
 
+def _row_sampler(store: TripletStore, **options) -> tuple[EmbeddingTable, NegativeSampler]:
+    """A sampler over ``store``'s train split, with the table whose rows it uses."""
+    table = init_embeddings(store, TrainConfig(dimension=2))
+    return table, NegativeSampler(table, table.triplet_rows(store.triplets_in(Split.TRAIN)), **options)
+
+
+def _as_ids(table: EmbeddingTable, rows: np.ndarray) -> list[tuple]:
+    return [(table.node_ids[h], table.relation_ids[r], table.node_ids[t]) for h, r, t in rows.tolist()]
+
+
+def _draws(table, sampler, positive, rng, count):
+    """``count`` negatives for ``positive`` from one seeded stream, as ids."""
+    return _as_ids(table, sampler.sample(np.repeat(table.triplet_rows([positive]), count, axis=0), rng))
+
+
+def _reference_sample(store, positive, rng, corrupt_heads=False, type_consistent=False, max_resample=100):
+    """The draw loop over ids that the row sampler reproduces draw for draw."""
+    train_set = {(t.head, t.relation, t.tail) for t in store.triplets_in(Split.TRAIN)}
+    for _ in range(max_resample):
+        replace_head = corrupt_heads and rng.random() < 0.5
+        kept = positive.tail if replace_head else positive.head
+        replaced = positive.head if replace_head else positive.tail
+        pool = store.nodes
+        if type_consistent:
+            pool = tuple(n for n in store.nodes if n.kind is replaced.kind)
+        drawn = pool[rng.randrange(len(pool))]
+        candidate = (
+            (drawn, positive.relation, kept) if replace_head else (kept, positive.relation, drawn)
+        )
+        if candidate not in train_set:
+            return candidate
+    raise SamplingError(f"no corrupted triplet after {max_resample} draws")
+
+
 class TestNegativeSampler:
     def test_forced_outcome(self):
         # s00 relates to every node but itself and the isolated s05;
         # corrupting the tail can only ever produce those two.
         store = _chain_store(6)
-        sampler = NegativeSampler(store)
-        positive = store.triplets[0]
-        seen = set()
-        rng = random.Random(0)
-        for _ in range(200):
-            seen.add(sampler.sample(positive, rng).tail)
-        assert seen == {synset_id("s00"), synset_id("s05")}
+        table, sampler = _row_sampler(store)
+        draws = _draws(table, sampler, store.triplets[0], random.Random(0), 200)
+        assert {tail for _, _, tail in draws} == {synset_id("s00"), synset_id("s05")}
 
     def test_single_legal_tail(self):
         store = _chain_store(6)
         extra = [make_triplet(synset_id("s00"), "related", synset_id("s00"))]
         store = TripletStore(list(store.triplets) + extra, store.pos_tags())
-        sampler = NegativeSampler(store)
-        positive = store.triplets[0]
-        rng = random.Random(1)
-        for _ in range(50):
-            assert sampler.sample(positive, rng).tail == synset_id("s05")
+        table, sampler = _row_sampler(store)
+        draws = _draws(table, sampler, store.triplets[0], random.Random(1), 50)
+        assert all(tail == synset_id("s05") for _, _, tail in draws)
 
     def test_uniform_over_legal_tails(self, toy_store):
         # Positive (a, related, b): legal corrupted tails are the other
         # four nodes; 10^4 draws should look uniform under a chi-square test.
-        sampler = NegativeSampler(toy_store)
-        positive = toy_store.triplets[0]
-        rng = random.Random(7)
-        counts = Counter(sampler.sample(positive, rng).tail for _ in range(10_000))
+        table, sampler = _row_sampler(toy_store)
+        draws = _draws(table, sampler, toy_store.triplets[0], random.Random(7), 10_000)
+        counts = Counter(tail for _, _, tail in draws)
         legal = [n for n in toy_store.nodes if n != synset_id("b")]
         assert set(counts) == set(legal)
         _, p_value = scipy_stats.chisquare([counts[n] for n in legal])
         assert p_value > 0.01
 
     def test_never_returns_a_train_triplet(self, toy_store):
-        sampler = NegativeSampler(toy_store)
+        table, sampler = _row_sampler(toy_store)
         membership = {(t.head, t.relation, t.tail) for t in toy_store.triplets}
-        rng = random.Random(3)
-        positives = toy_store.triplets
-        violations = sum(
-            1
-            for i in range(100_000)
-            if tuple(sampler.sample(positives[i % len(positives)], rng)) in membership
-        )
+        positives = table.triplet_rows(toy_store.triplets)
+        rows = sampler.sample(positives[np.arange(100_000) % len(positives)], random.Random(3))
+        assert len(rows) == 100_000
+        violations = sum(1 for negative in _as_ids(table, rows) if negative in membership)
         assert violations == 0
 
     def test_exhaustion_raises_sampling_error(self):
@@ -192,37 +237,52 @@ class TestNegativeSampler:
                 make_triplet(a, "related", b),
             ]
         )
-        sampler = NegativeSampler(store, max_resample=20)
+        table, sampler = _row_sampler(store, max_resample=20)
         with pytest.raises(SamplingError, match="20"):
-            sampler.sample(store.triplets[0], random.Random(0))
+            sampler.sample(table.triplet_rows([store.triplets[0]]), random.Random(0))
 
     def test_positive_must_be_in_train(self, toy_store):
         split = toy_store.split_dataset((0.0, 0.0, 1.0), seed=0)
-        sampler = NegativeSampler(split)
+        table, sampler = _row_sampler(split)
         held_out = split.triplets_in(Split.TEST)[0]
         with pytest.raises(ContractError):
-            sampler.sample(held_out, random.Random(0))
+            sampler.sample(table.triplet_rows([held_out]), random.Random(0))
+
+    def test_rows_outside_the_table_rejected(self, toy_store):
+        table, sampler = _row_sampler(toy_store)
+        rows = table.triplet_rows([toy_store.triplets[0]])
+        rows[0, 1] = len(table.relation_ids)
+        with pytest.raises(ContractError, match="outside"):
+            sampler.sample(rows, random.Random(0))
 
     def test_type_consistent_negatives(self, toy_store):
-        sampler = NegativeSampler(toy_store, type_consistent=True)
+        table, sampler = _row_sampler(toy_store, type_consistent=True)
         positive = [t for t in toy_store.triplets if t.relation.kind is RelationKind.HAVE_SEMEME][0]
-        rng = random.Random(5)
-        for _ in range(100):
-            assert sampler.sample(positive, rng).tail.kind is positive.tail.kind
+        draws = _draws(table, sampler, positive, random.Random(5), 100)
+        assert all(tail.kind is positive.tail.kind for _, _, tail in draws)
 
     def test_corrupt_heads_hits_both_sides(self, toy_store):
-        sampler = NegativeSampler(toy_store, corrupt_heads=True)
+        table, sampler = _row_sampler(toy_store, corrupt_heads=True)
         positive = toy_store.triplets[0]
-        rng = random.Random(9)
-        sides = {
-            ("head" if sampler.sample(positive, rng).head != positive.head else "tail")
-            for _ in range(200)
-        }
+        draws = _draws(table, sampler, positive, random.Random(9), 200)
+        sides = {("head" if head != positive.head else "tail") for head, _, _ in draws}
         assert sides == {"head", "tail"}
 
-    def test_module_level_wrapper(self, toy_store):
-        neg = negative_sample(toy_store, toy_store.triplets[0], random.Random(0))
-        assert isinstance(neg, CorruptedTriplet)
+    @pytest.mark.parametrize("corrupt_heads", [False, True])
+    @pytest.mark.parametrize("type_consistent", [False, True])
+    def test_matches_the_id_level_reference(self, toy_store, corrupt_heads, type_consistent):
+        # Holding out c makes its have_sememe triplets legal negatives and
+        # leaves every train positive a legal corruption of each kind.
+        store = toy_store.split_dataset((0.5, 0.0, 0.5), seed=5)
+        options = {"corrupt_heads": corrupt_heads, "type_consistent": type_consistent}
+        table, sampler = _row_sampler(store, **options)
+        positives = list(store.triplets_in(Split.TRAIN)) * 40
+        got = sampler.sample(table.triplet_rows(positives), random.Random(11))
+        rng = random.Random(11)
+        expected = [_reference_sample(store, p, rng, **options) for p in positives]
+        assert [
+            (store.nodes[h], table.relation_ids[r], store.nodes[t]) for h, r, t in got.tolist()
+        ] == expected
 
 
 def _hinge_fixture():
@@ -233,28 +293,29 @@ def _hinge_fixture():
         {h: [0.0, 0.0, 0.0], t_pos: [0.0, 0.0, 1.0], t_neg: [0.0, 0.0, 0.0]},
         {SYN_REL: [1.0, 1.0, 1.0]},
     )
-    pos = make_triplet(h, "related", t_pos)
-    neg = CorruptedTriplet(h, SYN_REL, t_neg)
+    pos = table.triplet_rows([make_triplet(h, "related", t_pos)])
+    neg = np.array([[table.node_index(h), table.relation_index(SYN_REL), table.node_index(t_neg)]])
     return table, pos, neg
 
 
 class TestMarginLoss:
     def test_hand_fixture_is_exactly_three(self):
         table, pos, neg = _hinge_fixture()
-        assert margin_ranking_loss(table, [pos], [neg], margin=4.0) == 3.0
+        assert margin_ranking_loss(table, pos, neg, margin=4.0) == 3.0
 
     def test_inactive_hinge_is_zero(self):
         table, pos, neg = _hinge_fixture()
-        assert margin_ranking_loss(table, [pos], [neg], margin=0.5) == 0.0
+        assert margin_ranking_loss(table, pos, neg, margin=0.5) == 0.0
 
     def test_empty_batch_is_zero(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=0))
-        assert margin_ranking_loss(table, [], [], margin=4.0) == 0.0
+        empty = np.empty((0, 3), dtype=np.intp)
+        assert margin_ranking_loss(table, empty, empty, margin=4.0) == 0.0
 
     def test_misaligned_batches_rejected(self):
         table, pos, neg = _hinge_fixture()
         with pytest.raises(ContractError):
-            margin_ranking_loss(table, [pos, pos], [neg], margin=4.0)
+            margin_ranking_loss(table, np.vstack([pos, pos]), neg, margin=4.0)
 
 
 class TestEquivalenceLoss:
@@ -285,6 +346,28 @@ class TestEquivalenceLoss:
         assert equivalence_loss(table, {}) == 0.0
 
 
+class TestAnnotationGroups:
+    def test_batch_groups_match_the_loop_they_replace(self, toy_store):
+        table = init_embeddings(toy_store, TrainConfig(dimension=2))
+        annotations = toy_store.annotation_map(Split.TRAIN)
+        sememe_rows_of = {
+            table.node_index(b): [table.node_index(s) for s in sorted(annotations[b], key=lambda n: n.name)]
+            for b in annotations
+        }
+        groups = _annotation_groups(table, annotations)
+        positives = table.triplet_rows(toy_store.triplets)
+        for batch in (positives[:1], positives[2:4], positives[4:], positives[:0], positives):
+            endpoints = set(batch[:, 0].tolist()) | set(batch[:, 2].tolist())
+            synset_rows = sorted(row for row in endpoints if row in sememe_rows_of)
+            flat: list[int] = []
+            offsets: list[int] = []
+            for row in synset_rows:
+                offsets.append(len(flat))
+                flat.extend(sememe_rows_of[row])
+            got = _groups_touching(groups, batch[:, ::2])
+            assert [part.tolist() for part in got] == [synset_rows, flat, offsets]
+
+
 def _finite_difference(loss_fn, matrix, epsilon=1e-5):
     grad = np.zeros_like(matrix)
     it = np.nditer(matrix, flags=["multi_index"])
@@ -309,10 +392,8 @@ def _relative_error(analytic, numeric):
 class TestGradients:
     def test_margin_gradients_match_finite_differences(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=2))
-        positives = list(toy_store.triplets)
-        sampler = NegativeSampler(toy_store)
-        rng = random.Random(4)
-        negatives = [sampler.sample(p, rng) for p in positives]
+        positives = table.triplet_rows(toy_store.triplets)
+        negatives = NegativeSampler(table, positives).sample(positives, random.Random(4))
         margin = 4.0
         loss, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, margin)
         assert loss > 0
@@ -450,6 +531,18 @@ class TestRankSememes:
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=0))
         with pytest.raises(ContractError):
             rank_sememes(table, sememe_id("p"), [sememe_id("q")])
+
+    def test_nan_row_never_reaches_a_ranking(self):
+        b = synset_id("b")
+        p, q = sememe_id("p"), sememe_id("q")
+        have = RelationId(RelationKind.HAVE_SEMEME, "have_sememe")
+        table = build_table(
+            2,
+            {b: [1.0, 0.0], p: [math.nan, 1.0], q: [3.0, 3.0]},
+            {have: [0.0, 1.0]},
+        )
+        with pytest.raises(ValidationError, match="syn:b"):
+            rank_sememes(table, b, [p, q])
 
     def test_equidistant_candidates_tie_break_by_name(self):
         b = synset_id("b")

@@ -88,7 +88,13 @@ class TestVectorStore:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "vectors.tsv"
         write_vector_file(path, 2, [("syn:a", np.ones(2)), ("syn:a", np.zeros(2) + 2)])
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match=r"vectors\.tsv:3: duplicate"):
+            SemanticVectorStore.load(path)
+
+    def test_non_finite_component_names_the_line(self, tmp_path):
+        path = tmp_path / "vectors.tsv"
+        path.write_text("D=2\nsyn:a\t1.0 0.5\nsyn:b\tnan 1.0\n")
+        with pytest.raises(ParseError, match=r"vectors\.tsv:3: non-finite"):
             SemanticVectorStore.load(path)
 
     def test_ids_outside_known_set_are_flagged(self, tmp_path):
