@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .graph import (
 if TYPE_CHECKING:
     from .kge import TrainConfig
 
+K = TypeVar("K")
+
 
 def write_vector_file(path: str | Path, dimension: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
     path = Path(path)
@@ -34,11 +36,14 @@ def write_vector_file(path: str | Path, dimension: int, rows: Iterable[tuple[str
         for name, vec in rows:
             if vec.shape != (dimension,):
                 raise ValidationError(f"vector for {name!r} has shape {vec.shape}, expected ({dimension},)")
-            fh.write(name + "\t" + " ".join("%.17g" % x for x in vec) + "\n")
+            fh.write(name + "\t" + " ".join(map("%.17g".__mod__, vec.tolist())) + "\n")
 
 
-def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]]]:
-    """Rows of a vector file in file order; malformed or non-finite
+def read_vector_file(
+    path: str | Path, parse_id: Callable[[str], K]
+) -> tuple[int, list[tuple[K, np.ndarray]]]:
+    """Rows of a vector file in file order, ids parsed by ``parse_id``;
+    ids it rejects with :class:`ValidationError`, malformed or non-finite
     components and repeated ids fail naming ``path:line``."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -48,7 +53,7 @@ def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]
         dimension = int(header[2:])
         if dimension <= 0:
             raise ParseError(f"{path}:1: dimension must be positive, got {dimension}")
-        rows: list[tuple[str, np.ndarray]] = []
+        rows: list[tuple[K, np.ndarray]] = []
         seen: set[str] = set()
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
@@ -70,7 +75,10 @@ def read_vector_file(path: str | Path) -> tuple[int, list[tuple[str, np.ndarray]
             if fields[0] in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
             seen.add(fields[0])
-            rows.append((fields[0], vec))
+            try:
+                rows.append((parse_id(fields[0]), vec))
+            except ValidationError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return dimension, rows
 
 
@@ -149,14 +157,14 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        dimension, rows = read_vector_file(path)
+        dimension, rows = read_vector_file(path, _parse_table_id)
         nodes: list[tuple[NodeId, np.ndarray]] = []
         relations: list[tuple[RelationId, np.ndarray]] = []
-        for name, vec in rows:
-            if name.startswith("rel:"):
-                relations.append((RelationId.parse(name), vec))
+        for row_id, vec in rows:
+            if isinstance(row_id, RelationId):
+                relations.append((row_id, vec))
             else:
-                nodes.append((NodeId.parse(name), vec))
+                nodes.append((row_id, vec))
         nodes.sort(key=lambda item: item[0].name)
         relations.sort(key=lambda item: item[0].sort_key)
         return cls(
@@ -168,6 +176,10 @@ class EmbeddingTable:
                 len(relations), dimension
             ),
         )
+
+
+def _parse_table_id(text: str) -> NodeId | RelationId:
+    return RelationId.parse(text) if text.startswith("rel:") else NodeId.parse(text)
 
 
 def init_embeddings(store: TripletStore, config: "TrainConfig") -> EmbeddingTable:

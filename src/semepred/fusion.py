@@ -145,22 +145,20 @@ def load_predictions(
             fields = line.split("\t")
             if len(fields) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}")
-            target = NodeId.parse(fields[0])
-            entries: list[tuple[NodeId, float]] = []
-            if fields[1]:
-                for item in fields[1].split(","):
-                    name, _, score_text = item.rpartition(":")
-                    try:
-                        score = float(score_text)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad score in {item!r}") from exc
-                    entries.append((NodeId.parse(name), score))
             try:
+                target = NodeId.parse(fields[0])
+                entries: list[tuple[NodeId, float]] = []
+                if fields[1]:
+                    for item in fields[1].split(","):
+                        name, _, score_text = item.rpartition(":")
+                        try:
+                            score = float(score_text)
+                        except ValueError as exc:
+                            raise ParseError(f"{path}:{lineno}: bad score in {item!r}") from exc
+                        entries.append((NodeId.parse(name), score))
                 ranking = ScoredRanking(target, tuple(entries))
+                selected = frozenset(NodeId.parse(name) for name in fields[2].split(",") if name)
+                results.append(PredictionResult(target, ranking, selected, provenance))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            selected = frozenset(
-                NodeId.parse(name) for name in fields[2].split(",") if name
-            )
-            results.append(PredictionResult(target, ranking, selected, provenance))
     return results

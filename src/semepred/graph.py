@@ -372,6 +372,7 @@ class TripletStore:
     def filter_low_frequency(self, min_node_degree: int, min_relation_count: int) -> "TripletStore":
         """Iteratively drop nodes below ``min_node_degree`` and relations
         below ``min_relation_count``, with their triplets, to a fixed point.
+        A store that loses nothing is returned as it is.
         """
         if min_node_degree < 0 or min_relation_count < 0:
             raise ConfigError("frequency thresholds must be >= 0")
@@ -394,6 +395,8 @@ class TripletStore:
                 for t in triplets
                 if t.head in nodes and t.tail in nodes and t.relation not in bad_rels
             ]
+        if len(triplets) == len(self._triplets) and len(nodes) == len(self._nodes):
+            return self
         return self._substore(triplets, nodes)
 
     def split_dataset(self, ratios: tuple[float, float, float], seed: int) -> "TripletStore":

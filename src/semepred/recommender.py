@@ -90,8 +90,8 @@ class SemanticVectorStore:
     def load(
         cls, path: str | Path, known_synsets: Iterable[NodeId] | None = None
     ) -> "SemanticVectorStore":
-        dimension, rows = read_vector_file(path)
-        vectors = {NodeId.parse(name): vec for name, vec in rows}
+        dimension, rows = read_vector_file(path, _parse_synset_id)
+        vectors = dict(rows)
         store = cls(dimension, vectors)
         if known_synsets is not None:
             known = set(known_synsets)
@@ -109,6 +109,13 @@ class SemanticVectorStore:
         write_vector_file(
             path, self._dimension, ((n.name, self._vectors[n]) for n in self.synsets())
         )
+
+
+def _parse_synset_id(text: str) -> NodeId:
+    node = NodeId.parse(text)
+    if node.kind is not NodeKind.SYNSET:
+        raise ValidationError(f"semantic vectors are keyed by synset ids, got {node}")
+    return node
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

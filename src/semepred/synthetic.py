@@ -125,14 +125,13 @@ def generate(
     antonym_pairs = [
         (shuffled[2 * i], shuffled[2 * i + 1]) for i in range(config.n_antonym_pairs)
     ]
-    pair_lookup = {frozenset(p) for p in antonym_pairs}
 
     triplets: list[Triplet] = []
     for a, b in antonym_pairs:
         triplets.append(make_triplet(a, "antonym", b))
         triplets.append(make_triplet(b, "antonym", a))
 
-    taken = set(pair_lookup)
+    taken = {frozenset(p) for p in antonym_pairs}
     for _ in range(config.n_hypernym_edges):
         while True:
             x, y = rng.sample(sememes, 2)
@@ -147,39 +146,42 @@ def generate(
     n_base = config.n_synsets - n_twins
     gold: dict[NodeId, frozenset[NodeId]] = {}
     order: list[NodeId] = []
+    # One entry per synset and antonym pair it holds exactly one member
+    # of, in synset then pair order: (position, gold set minus the held
+    # member, held member, missing member).
+    swaps: list[tuple[int, frozenset[NodeId], NodeId, NodeId]] = []
     for i in range(config.n_synsets):
         synset = synset_id(f"b{i:04d}")
-        gold_set: frozenset[NodeId] | None = None
-        if i >= n_base:
-            # Twin an earlier synset by swapping one antonym sememe; fall
-            # back to a fresh synset when no earlier gold set is eligible.
-            eligible: list[tuple[NodeId, NodeId, NodeId]] = []
-            for earlier in order:
-                for a, b in antonym_pairs:
-                    if a in gold[earlier] and b not in gold[earlier]:
-                        eligible.append((earlier, a, b))
-                    if b in gold[earlier] and a not in gold[earlier]:
-                        eligible.append((earlier, b, a))
-            if eligible:
-                earlier, out_s, in_s = eligible[rng.randrange(len(eligible))]
-                gold_set = (gold[earlier] - {out_s}) | {in_s}
-        if gold_set is None:
+        if i >= n_base and swaps:
+            # Twin an earlier synset by swapping one antonym sememe; with
+            # no eligible earlier gold set the twin is a fresh synset.
+            _, rest, _, in_s = swaps[rng.randrange(len(swaps))]
+            gold_set = rest | {in_s}
+        else:
             size = _gold_size(config, rng)
             gold_set = frozenset(rng.sample(sememes, size))
         gold[synset] = gold_set
         order.append(synset)
+        for a, b in antonym_pairs:
+            if a in gold_set and b not in gold_set:
+                swaps.append((i, gold_set - {a}, a, b))
+            if b in gold_set and a not in gold_set:
+                swaps.append((i, gold_set - {b}, b, a))
 
     # Synset antonym edges by the consistency rule: gold sets differing by
-    # exactly one antonym pair.  Exhaustive scan keeps the rule airtight.
-    for i, left in enumerate(order):
-        for right in order[i + 1 :]:
-            only_left = gold[left] - gold[right]
-            only_right = gold[right] - gold[left]
-            if len(only_left) == 1 and len(only_right) == 1:
-                pair = frozenset((next(iter(only_left)), next(iter(only_right))))
-                if pair in pair_lookup:
-                    triplets.append(make_triplet(left, "antonym", right))
-                    triplets.append(make_triplet(right, "antonym", left))
+    # exactly one antonym pair.  Two such synsets hold opposite members of
+    # the pair and agree on the rest, so each edge joins a swap entry to
+    # the holders of its missing member with the same rest.  Sorting the
+    # (earlier, later) positions emits edges in all-pairs scan order.
+    holders: dict[tuple[frozenset[NodeId], NodeId], list[int]] = {}
+    for i, rest, held, _ in swaps:
+        holders.setdefault((rest, held), []).append(i)
+    edges = sorted(
+        (i, j) for i, rest, _, missing in swaps for j in holders.get((rest, missing), ()) if i < j
+    )
+    for i, j in edges:
+        triplets.append(make_triplet(order[i], "antonym", order[j]))
+        triplets.append(make_triplet(order[j], "antonym", order[i]))
 
     for synset in order:
         for s in sorted(gold[synset], key=lambda n: n.name):

@@ -257,6 +257,22 @@ class TestPredictionDump:
         with pytest.raises(ParseError):
             load_predictions(path)
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("t\tsem:s1:1.0\t", "node id 't' lacks a syn:/sem: prefix"),
+            ("syn:t\ts1:1.0\t", "node id 's1' lacks a syn:/sem: prefix"),
+            ("syn:t\tsem:s1:1.0\ts1", "node id 's1' lacks a syn:/sem: prefix"),
+            ("syn:t\tsem:s1:1.0\tsem:s2", r"selected sememes missing from ranking: \['sem:s2'\]"),
+        ],
+        ids=["target", "entry", "selected", "selected-unranked"],
+    )
+    def test_malformed_id_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "predictions.tsv"
+        path.write_text(f"syn:u\t\t\n{line}\n")
+        with pytest.raises(ParseError, match=rf"predictions\.tsv:2: {message}"):
+            load_predictions(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "predictions.tsv"
         path.write_text("\nsyn:t\tsem:s1:1.0\tsem:s1\n\n")

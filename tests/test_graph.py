@@ -171,6 +171,20 @@ class TestLowFrequencyFilter:
     def test_zero_thresholds_are_identity(self, toy_store):
         assert toy_store.filter_low_frequency(0, 0) == toy_store
 
+    @pytest.mark.parametrize("thresholds", [(0, 0), (1, 1), (2, 2)])
+    def test_store_dropping_nothing_comes_back_unchanged(self, toy_store, thresholds):
+        assert toy_store.filter_low_frequency(*thresholds) is toy_store
+
+    def test_pos_only_node_is_still_dropped(self, toy_store):
+        lone = synset_id("lone")
+        pos = {lone: Pos.NOUN, synset_id("a"): Pos.VERB}
+        store = TripletStore(toy_store.triplets, pos)
+        filtered = store.filter_low_frequency(1, 0)
+        assert filtered is not store
+        assert lone not in filtered.nodes
+        assert filtered.triplets == toy_store.triplets
+        assert filtered.pos_tags() == {synset_id("a"): Pos.VERB}
+
     def test_negative_threshold_rejected(self, toy_store):
         with pytest.raises(ConfigError):
             toy_store.filter_low_frequency(-1, 0)

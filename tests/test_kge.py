@@ -121,6 +121,20 @@ class TestEmbeddingFile:
             EmbeddingTable.load(path)
 
 
+    @pytest.mark.parametrize(
+        ("row_id", "message"),
+        [
+            ("foo", "node id 'foo' lacks a syn:/sem: prefix"),
+            ("rel:bogus:x", "unknown relation kind 'bogus' in 'rel:bogus:x'"),
+        ],
+    )
+    def test_malformed_id_names_the_line(self, tmp_path, row_id, message):
+        path = tmp_path / "embeddings.tsv"
+        path.write_text(f"D=2\nsyn:a\t1.0 0.5\n{row_id}\t1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"embeddings\.tsv:3: {message}"):
+            EmbeddingTable.load(path)
+
+
 class TestScoreTriplet:
     def test_exact_translation_scores_zero(self):
         a, b = synset_id("a"), synset_id("b")

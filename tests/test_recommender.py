@@ -97,6 +97,19 @@ class TestVectorStore:
         with pytest.raises(ParseError, match=r"vectors\.tsv:3: non-finite"):
             SemanticVectorStore.load(path)
 
+    @pytest.mark.parametrize(
+        ("row_id", "message"),
+        [
+            ("foo", "node id 'foo' lacks a syn:/sem: prefix"),
+            ("sem:x", "semantic vectors are keyed by synset ids, got sem:x"),
+        ],
+    )
+    def test_malformed_id_names_the_line(self, tmp_path, row_id, message):
+        path = tmp_path / "vectors.tsv"
+        path.write_text(f"D=2\nsyn:a\t1.0 0.5\n{row_id}\t1.0 2.0\n")
+        with pytest.raises(ParseError, match=rf"vectors\.tsv:3: {message}"):
+            SemanticVectorStore.load(path)
+
     def test_ids_outside_known_set_are_flagged(self, tmp_path):
         store = _store({"a": [1.0, 0.0], "ghost": [0.0, 1.0]})
         path = tmp_path / "vectors.tsv"

@@ -1,25 +1,35 @@
 from __future__ import annotations
 
 import filecmp
+import random
 
 import numpy as np
 import pytest
 
 from semepred import (
     ConfigError,
+    NodeId,
     RelationKind,
     SemanticVectorStore,
     Split,
     SynthConfig,
+    Triplet,
+    TripletStore,
     generate,
     load_triplets,
+    make_triplet,
     save_triplets,
     sememe_id,
     synset_id,
 )
 from semepred.graph import Pos, save_pos_tags
 from semepred.recommender import SrConfig, recommend
-from semepred.synthetic import similarity_score_oracle, translation_distance_oracle
+from semepred.synthetic import (
+    HAVE_RELATION_NAME,
+    _gold_size,
+    similarity_score_oracle,
+    translation_distance_oracle,
+)
 
 SMALL = SynthConfig(
     n_synsets=60,
@@ -30,6 +40,102 @@ SMALL = SynthConfig(
     noise=0.0,
     seed=7,
 )
+
+
+def _reference_generate(config: SynthConfig):
+    """The generator with its original quadratic scans: the twin
+    eligibility list rebuilt for every twin and the all-pairs antonym
+    edge scan.  Kept as the order-exact reference for ``generate``."""
+    rng = random.Random(config.seed)
+    np_rng = np.random.default_rng(config.seed)
+    sememes = [sememe_id(f"s{i:03d}") for i in range(config.n_sememes)]
+
+    if config.vector_dim >= config.n_sememes:
+        bases = np.eye(config.vector_dim, dtype=np.float64)[: config.n_sememes]
+    else:
+        bases = np_rng.standard_normal((config.n_sememes, config.vector_dim))
+        bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+    base_of = {s: bases[i] for i, s in enumerate(sememes)}
+
+    shuffled = sememes[:]
+    rng.shuffle(shuffled)
+    antonym_pairs = [
+        (shuffled[2 * i], shuffled[2 * i + 1]) for i in range(config.n_antonym_pairs)
+    ]
+    pair_lookup = {frozenset(p) for p in antonym_pairs}
+
+    triplets: list[Triplet] = []
+    for a, b in antonym_pairs:
+        triplets.append(make_triplet(a, "antonym", b))
+        triplets.append(make_triplet(b, "antonym", a))
+
+    taken = set(pair_lookup)
+    for _ in range(config.n_hypernym_edges):
+        while True:
+            x, y = rng.sample(sememes, 2)
+            key = frozenset((x, y))
+            if key not in taken:
+                taken.add(key)
+                break
+        triplets.append(make_triplet(x, "hypernym", y))
+        triplets.append(make_triplet(y, "hyponym", x))
+
+    n_twins = int(config.twin_fraction * config.n_synsets)
+    n_base = config.n_synsets - n_twins
+    gold: dict[NodeId, frozenset[NodeId]] = {}
+    order: list[NodeId] = []
+    for i in range(config.n_synsets):
+        synset = synset_id(f"b{i:04d}")
+        gold_set = None
+        if i >= n_base:
+            eligible = []
+            for earlier in order:
+                for a, b in antonym_pairs:
+                    if a in gold[earlier] and b not in gold[earlier]:
+                        eligible.append((earlier, a, b))
+                    if b in gold[earlier] and a not in gold[earlier]:
+                        eligible.append((earlier, b, a))
+            if eligible:
+                earlier, out_s, in_s = eligible[rng.randrange(len(eligible))]
+                gold_set = (gold[earlier] - {out_s}) | {in_s}
+        if gold_set is None:
+            size = _gold_size(config, rng)
+            gold_set = frozenset(rng.sample(sememes, size))
+        gold[synset] = gold_set
+        order.append(synset)
+
+    for i, left in enumerate(order):
+        for right in order[i + 1 :]:
+            only_left = gold[left] - gold[right]
+            only_right = gold[right] - gold[left]
+            if len(only_left) == 1 and len(only_right) == 1:
+                pair = frozenset((next(iter(only_left)), next(iter(only_right))))
+                if pair in pair_lookup:
+                    triplets.append(make_triplet(left, "antonym", right))
+                    triplets.append(make_triplet(right, "antonym", left))
+
+    for synset in order:
+        for s in sorted(gold[synset], key=lambda n: n.name):
+            triplets.append(make_triplet(synset, HAVE_RELATION_NAME, s))
+
+    store = TripletStore(triplets, {synset: Pos.NOUN for synset in order})
+
+    vectors = {}
+    for synset in order:
+        vec = np.zeros(config.vector_dim)
+        for s in sorted(gold[synset], key=lambda n: n.name):
+            vec = vec + base_of[s]
+        if config.noise > 0:
+            vec = vec + config.noise * np_rng.standard_normal(config.vector_dim)
+        vectors[synset] = vec
+    return store, SemanticVectorStore(config.vector_dim, vectors)
+
+
+def _save_dataset(store, vectors, out) -> None:
+    out.mkdir()
+    save_triplets(store, out / "triplets.tsv")
+    save_pos_tags(store.pos_tags(), out / "pos.tsv")
+    vectors.save(out / "vectors.tsv")
 
 
 class TestSynthConfig:
@@ -90,6 +196,44 @@ class TestGenerate:
             vectors.save(out / "vectors.tsv")
         for name in ("triplets.tsv", "pos.tsv", "vectors.tsv"):
             assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name, shallow=False)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1858467990])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param({}, id="defaults"),
+            pytest.param(
+                {"min_sememes_per_synset": 1, "max_sememes_per_synset": 1, "twin_fraction": 0.9},
+                id="c5",
+            ),
+            pytest.param({"n_synsets": 150, "twin_fraction": 1.0}, id="all-twins"),
+            pytest.param({"n_antonym_pairs": 0}, id="no-antonyms"),
+            pytest.param(
+                {
+                    "n_synsets": 200,
+                    "n_sememes": 6,
+                    "max_sememes_per_synset": 2,
+                    "n_antonym_pairs": 3,
+                    "n_hypernym_edges": 2,
+                    "vector_dim": 6,
+                },
+                id="duplicate-gold",
+            ),
+            pytest.param(
+                {"n_synsets": 0, "n_sememes": 0, "n_antonym_pairs": 0, "n_hypernym_edges": 0},
+                id="empty",
+            ),
+        ],
+    )
+    def test_files_match_the_quadratic_reference_byte_for_byte(self, tmp_path, shape, seed):
+        config = SynthConfig(seed=seed, **shape)
+        store, vectors, _ = generate(config)
+        _save_dataset(store, vectors, tmp_path / "fast")
+        _save_dataset(*_reference_generate(config), tmp_path / "reference")
+        for name in ("triplets.tsv", "pos.tsv", "vectors.tsv"):
+            assert (tmp_path / "fast" / name).read_bytes() == (
+                tmp_path / "reference" / name
+            ).read_bytes(), name
 
     def test_gold_sizes_stay_in_the_configured_range(self):
         config = SynthConfig(
