@@ -35,7 +35,6 @@ from .fusion import (
     Provenance,
     fuse,
     load_predictions,
-    reciprocal_scores,
     save_predictions,
     threshold_select,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "margin_ranking_loss",
     "rank_neighbors",
     "rank_sememes",
-    "reciprocal_scores",
     "recommend",
     "save_predictions",
     "save_triplets",

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,7 +43,6 @@ from .fusion import (
     Provenance,
     fuse,
     load_predictions,
-    reciprocal_scores,
     save_predictions,
     threshold_select,
 )
@@ -127,11 +127,18 @@ def cmd_train(settings: Settings) -> None:
     settings.write_echo(out)
 
 
+# Keyed by (similarity ranking present, translation ranking present).
+_PROVENANCE = {
+    (True, True): Provenance.FUSED,
+    (True, False): Provenance.SIMILARITY,
+    (False, True): Provenance.TRANSLATION,
+}
+
+
 def cmd_predict(settings: Settings) -> None:
     store = _load_dataset(settings)
     split = Split(str(settings["predict.split"]))
     model = str(settings["predict.model"])
-    raw_scores = bool(settings["fusion.raw_scores"])
     fcfg = fusion_config(settings)
     scfg = sr_config(settings)
 
@@ -147,12 +154,19 @@ def cmd_predict(settings: Settings) -> None:
         if str(settings["data.vectors"])
         else None
     )
-    if model == "translation" and table is None:
-        raise ContractError("predict.model=translation needs data.embeddings")
-    if model == "similarity" and vectors is None:
-        raise ContractError("predict.model=similarity needs data.vectors")
-    if model == "fused" and table is None and vectors is None:
+    # A single model is the fusion with the other model's weight at 0,
+    # computed from its own input alone.
+    if model == "similarity":
+        if vectors is None:
+            raise ContractError("predict.model=similarity needs data.vectors")
+        table, fcfg = None, replace(fcfg, similarity_weight=1.0, translation_weight=0.0)
+    elif model == "translation":
+        if table is None:
+            raise ContractError("predict.model=translation needs data.embeddings")
+        vectors, fcfg = None, replace(fcfg, similarity_weight=0.0, translation_weight=1.0)
+    elif table is None and vectors is None:
         raise ContractError("no model inputs: set data.embeddings and/or data.vectors")
+    raw_scores = bool(settings["fusion.raw_scores"]) and model != "fused"
 
     targets = sorted(store.annotation_map(split), key=lambda n: n.name)
     candidates = store.sememes
@@ -162,38 +176,23 @@ def cmd_predict(settings: Settings) -> None:
     provenance_counts: Counter[str] = Counter()
     sr_uncovered = 0
     for target in targets:
-        if model == "translation":
-            ranking = rank_sememes(table, target, candidates)
-            if not raw_scores:
-                ranking = reciprocal_scores(ranking)
-            result = threshold_select(ranking, fcfg.threshold, Provenance.TRANSLATION)
-        elif model == "similarity":
+        similarity = translation = None
+        if vectors is not None:
             try:
-                ranking = recommend(vectors, target, train_annotations, scfg, candidates)
-            except CoverageError as exc:
-                logger.warning("skipping %s: %s", target, exc)
+                similarity = recommend(vectors, target, train_annotations, scfg, candidates)
+            except CoverageError:
                 sr_uncovered += 1
-                continue
-            if not raw_scores:
-                ranking = reciprocal_scores(ranking)
-            result = threshold_select(ranking, fcfg.threshold, Provenance.SIMILARITY)
+        if table is not None:
+            translation = rank_sememes(table, target, candidates)
+        if similarity is None and translation is None:
+            logger.warning("skipping %s: no similarity coverage and no translation model", target)
+            continue
+        if raw_scores:
+            ranking = translation if similarity is None else similarity
         else:
-            similarity = None
-            if vectors is not None:
-                try:
-                    similarity = recommend(vectors, target, train_annotations, scfg, candidates)
-                except CoverageError:
-                    sr_uncovered += 1
-            if table is not None:
-                fused = fuse(similarity, rank_sememes(table, target, candidates), fcfg)
-                provenance = Provenance.FUSED if similarity is not None else Provenance.TRANSLATION
-            else:
-                if similarity is None:
-                    logger.warning("skipping %s: no similarity coverage and no embeddings", target)
-                    continue
-                fused = reciprocal_scores(similarity, fcfg.similarity_weight)
-                provenance = Provenance.SIMILARITY
-            result = threshold_select(fused, fcfg.threshold, provenance)
+            ranking = fuse(similarity, translation, fcfg)
+        provenance = _PROVENANCE[similarity is not None, translation is not None]
+        result = threshold_select(ranking, fcfg.threshold, provenance)
         provenance_counts[result.provenance.value] += 1
         results.append(result)
 

@@ -1,10 +1,11 @@
 """Reciprocal-rank fusion of the two sememe predictors and threshold selection.
 
 The fused score of a sememe is a weighted sum of the reciprocals of its
-ranks under the similarity recommender and the translation ranker.  Only
-ranks enter the fusion, so it is invariant to monotone rescaling of either
-model's raw scores.  The final predicted set keeps every sememe scoring
-strictly above the threshold.
+ranks under the similarity recommender and the translation ranker, over
+whichever of the two rankings are present.  Only ranks enter the fusion,
+so it is invariant to monotone rescaling of either model's raw scores.
+The final predicted set keeps every sememe scoring strictly above the
+threshold.
 """
 
 from __future__ import annotations
@@ -62,44 +63,49 @@ class PredictionResult:
 
 def fuse(
     similarity: ScoredRanking | None,
-    translation: ScoredRanking,
+    translation: ScoredRanking | None,
     config: FusionConfig,
 ) -> ScoredRanking:
-    """Combine the two rankings; with no similarity ranking the result
-    reproduces the translation ordering at ``translation_weight / rank``."""
-    if similarity is None:
-        return reciprocal_scores(translation, config.translation_weight)
-    if set(similarity.sememes()) != set(translation.sememes()):
-        only_sim = sorted(s.name for s in set(similarity.sememes()) - set(translation.sememes()))
-        only_tr = sorted(s.name for s in set(translation.sememes()) - set(similarity.sememes()))
-        raise ContractError(
-            f"candidate sets differ between the two rankings for {translation.target}: "
-            f"similarity-only {only_sim[:3]}, translation-only {only_tr[:3]}"
-        )
-    if similarity.target != translation.target:
-        raise ContractError(
-            f"rankings describe different targets: {similarity.target} vs {translation.target}"
-        )
-    scores = {
-        s: config.similarity_weight / similarity.rank(s)
-        + config.translation_weight / translation.rank(s)
-        for s in translation.sememes()
-    }
-    return ScoredRanking.from_scores(translation.target, scores)
+    """Sum ``weight / rank`` over the rankings given, similarity first.
 
-
-def reciprocal_scores(ranking: ScoredRanking, weight: float = 1.0) -> ScoredRanking:
-    """Replace raw scores by ``weight / rank``, preserving the ordering.
-
-    This puts single-model scores on the same scale the fusion produces,
-    so one selection threshold applies across all three model choices.
+    With one ranking the result keeps its ordering at ``weight / rank``,
+    which puts a single model on the fusion's scale, so one selection
+    threshold applies whichever rankings are present.
     """
-    if weight <= 0:
-        raise ConfigError(f"weight must be > 0, got {weight}")
-    entries = tuple(
-        (s, weight / rank) for rank, s in enumerate(ranking.sememes(), start=1)
-    )
-    return ScoredRanking(ranking.target, entries)
+    present = [
+        (ranking, weight, name)
+        for ranking, weight, name in (
+            (similarity, config.similarity_weight, "similarity"),
+            (translation, config.translation_weight, "translation"),
+        )
+        if ranking is not None
+    ]
+    if not present:
+        raise ContractError("fusion needs at least one ranking")
+    if similarity is not None and translation is not None:
+        if set(similarity.sememes()) != set(translation.sememes()):
+            only_sim = sorted(s.name for s in set(similarity.sememes()) - set(translation.sememes()))
+            only_tr = sorted(s.name for s in set(translation.sememes()) - set(similarity.sememes()))
+            raise ContractError(
+                f"candidate sets differ between the two rankings for {translation.target}: "
+                f"similarity-only {only_sim[:3]}, translation-only {only_tr[:3]}"
+            )
+        if similarity.target != translation.target:
+            raise ContractError(
+                f"rankings describe different targets: {similarity.target} vs {translation.target}"
+            )
+    elif present[0][1] == 0:
+        ranking, _, name = present[0]
+        raise ConfigError(
+            f"{ranking.target} has only a {name} ranking and fusion.{name}_weight is 0, "
+            f"so every sememe would score 0"
+        )
+    (first, weight, _), *rest = present
+    scores = {s: weight / rank for rank, s in enumerate(first.sememes(), start=1)}
+    for ranking, weight, _ in rest:
+        for rank, s in enumerate(ranking.sememes(), start=1):
+            scores[s] += weight / rank
+    return ScoredRanking.from_scores(first.target, scores)
 
 
 def threshold_select(

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ConfigError, ParseError, UnknownIdError, ValidationError
 
@@ -317,12 +317,6 @@ class TripletStore:
         if node not in self._node_set:
             raise UnknownIdError(f"unknown node {node}")
         return self._degree[node]
-
-    def have_sememe_relation(self) -> RelationId:
-        for r in self._relations:
-            if r.kind is RelationKind.HAVE_SEMEME:
-                return r
-        raise UnknownIdError("store has no synset-sememe triplets")
 
     def triplets_in(self, split: Split) -> tuple[Triplet, ...]:
         return tuple(t for t in self._triplets if self._split[t] is split)

@@ -9,7 +9,6 @@ neighbors negligible, which justifies an optional neighbor cap.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -116,10 +115,6 @@ def _parse_synset_id(text: str) -> NodeId:
     if node.kind is not NodeKind.SYNSET:
         raise ValidationError(f"semantic vectors are keyed by synset ids, got {node}")
     return node
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def rank_neighbors(

@@ -16,7 +16,6 @@ from semepred import (
     ValidationError,
     fuse,
     load_predictions,
-    reciprocal_scores,
     save_predictions,
     sememe_id,
     synset_id,
@@ -92,17 +91,21 @@ class TestFuse:
             fuse(similarity, translation, FusionConfig())
 
 
-class TestReciprocalScores:
+class TestSingleRanking:
     def test_scores_become_weight_over_rank(self):
         ranking = _ranking(["s2", "s1", "s3"], start=10.0)
-        normalized = reciprocal_scores(ranking, 0.5)
+        normalized = fuse(ranking, None, FusionConfig(similarity_weight=0.5))
         assert normalized.sememes() == ranking.sememes()
         for rank, s in enumerate(normalized.sememes(), start=1):
             assert normalized.score(s) == 0.5 / rank
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            reciprocal_scores(_ranking(["s1"]), 0.0)
+        with pytest.raises(ConfigError, match="fusion.translation_weight is 0"):
+            fuse(None, _ranking(["s1"]), FusionConfig(translation_weight=0.0))
+
+    def test_no_ranking_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="at least one ranking"):
+            fuse(None, None, FusionConfig())
 
 
 class TestThresholdSelect:

@@ -85,7 +85,7 @@ def workspace(tmp_path_factory):
     }
 
 
-def _predict(ws, name, *, embeddings=False, vectors=None, model=None, sets=()):
+def _predict(ws, name, *, embeddings=False, vectors=None, model=None, sets=(), exit_code=0):
     out = ws["root"] / name
     argv = ["predict", "--data", str(ws["data"]), "--pos", str(ws["pos"]),
             "--split", "test", "--out", str(out)]
@@ -97,7 +97,7 @@ def _predict(ws, name, *, embeddings=False, vectors=None, model=None, sets=()):
         argv += ["--model", model]
     for pair in sets:
         argv += ["--set", pair]
-    assert main(argv) == 0
+    assert main(argv) == exit_code
     return out
 
 
@@ -227,3 +227,29 @@ class TestFusedInputs:
         assert 0 < uncovered < len(rankings)
         _check_summary(out, len(rankings), uncovered,
                        fused=len(rankings) - uncovered, translation=uncovered)
+
+
+class TestZeroWeight:
+    """A zero weight is allowed, but not on the only ranking a target has."""
+
+    def test_translation_weight_zero_without_similarity_coverage(self, workspace, capsys):
+        _predict(workspace, "zero_tr", embeddings=True, vectors="partial",
+                 sets=["fusion.translation_weight=0"], exit_code=1)
+        err = capsys.readouterr().err
+        uncovered = workspace["targets"][0]
+        assert f"config error: {uncovered.name} has only a translation ranking" in err
+        assert "fusion.translation_weight is 0" in err
+
+    def test_similarity_weight_zero_without_embeddings(self, workspace, capsys):
+        _predict(workspace, "zero_sim", vectors="partial",
+                 sets=["fusion.similarity_weight=0"], exit_code=1)
+        err = capsys.readouterr().err
+        covered = workspace["targets"][1]
+        assert f"config error: {covered.name} has only a similarity ranking" in err
+        assert "fusion.similarity_weight is 0" in err
+
+    def test_translation_weight_zero_with_full_coverage_runs(self, workspace):
+        out = _predict(workspace, "zero_tr_full", embeddings=True, vectors="vectors",
+                       sets=["fusion.translation_weight=0"])
+        n = len(workspace["targets"])
+        _check_summary(out, n, 0, fused=n)
