@@ -27,7 +27,7 @@ from .config import (
     train_config,
 )
 from .embeddings import EmbeddingTable
-from .errors import ConfigError, ContractError, CoverageError, SemepredError, ValidationError
+from .errors import ConfigError, ContractError, CoverageError, SemepredError
 from .evaluation import (
     BucketQuantity,
     bucket_analysis,
@@ -168,7 +168,7 @@ def cmd_predict(settings: Settings) -> None:
         raise ContractError("no model inputs: set data.embeddings and/or data.vectors")
     raw_scores = bool(settings["fusion.raw_scores"]) and model != "fused"
 
-    targets = sorted(store.annotation_map(split), key=lambda n: n.name)
+    targets = store.annotation_map(split)
     candidates = store.sememes
     train_annotations = store.annotation_map(Split.TRAIN)
 
@@ -213,12 +213,7 @@ def cmd_predict(settings: Settings) -> None:
 
 def _load_results(settings: Settings) -> dict:
     predictions = load_predictions(_existing_path(settings, "data.predictions"))
-    results: dict = {}
-    for result in predictions:
-        if result.target in results:
-            raise ValidationError(f"duplicate prediction for {result.target}")
-        results[result.target] = result
-    return results
+    return {result.target: result for result in predictions}
 
 
 def cmd_eval(settings: Settings) -> None:

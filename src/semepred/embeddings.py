@@ -192,7 +192,7 @@ def init_embeddings(store: TripletStore, config: "TrainConfig") -> EmbeddingTabl
     dim = config.dimension
     bound = 6.0 / np.sqrt(dim)
     rng = np.random.default_rng(config.seed)
-    node_ids = tuple(sorted(store.nodes, key=lambda n: n.name))
+    node_ids = store.nodes
     relation_ids = tuple(
         sorted(set(store.relations) | {EQUIVALENCE_RELATION}, key=lambda r: r.sort_key)
     )

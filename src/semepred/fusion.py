@@ -140,9 +140,11 @@ def load_predictions(
     path: str | Path, provenance: Provenance = Provenance.FUSED
 ) -> list[PredictionResult]:
     """Read a prediction dump; the file does not record provenance, so the
-    caller supplies one label for all rows."""
+    caller supplies one label for all rows.  A target listed twice is a
+    :class:`ParseError` naming both lines."""
     path = Path(path)
     results: list[PredictionResult] = []
+    first_line: dict[NodeId, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -153,6 +155,10 @@ def load_predictions(
                 raise ParseError(f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}")
             try:
                 target = NodeId.parse(fields[0])
+                if first_line.setdefault(target, lineno) != lineno:
+                    raise ParseError(
+                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target]}"
+                    )
                 entries: list[tuple[NodeId, float]] = []
                 if fields[1]:
                     for item in fields[1].split(","):

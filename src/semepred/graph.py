@@ -53,28 +53,27 @@ class Split(enum.Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
+_KIND_OF_PREFIX = {kind.value + ":": kind for kind in NodeKind}
+
+
+@dataclass(frozen=True, slots=True)
 class NodeId:
-    """A node identifier whose kind is encoded in the ``syn:``/``sem:`` prefix.
+    """A node id: ``syn:`` or ``sem:``, which is its kind, then a non-empty
+    name, e.g. ``"syn:bn:00045106n"``; sorting by ``name`` is total and stable."""
 
-    ``name`` is the full serialized form, e.g. ``"syn:bn:00045106n"`` or
-    ``"sem:capital"``, so sorting by name is total and stable.
-    """
-
-    kind: NodeKind
     name: str
 
     def __post_init__(self) -> None:
-        prefix = self.kind.value + ":"
-        if not self.name.startswith(prefix) or len(self.name) <= len(prefix):
-            raise ValidationError(f"node id {self.name!r} does not match kind {self.kind.value!r}")
+        if self.name[:4] not in _KIND_OF_PREFIX or len(self.name) == 4:
+            raise ValidationError(f"node id {self.name!r} lacks a syn:/sem: prefix or a name after it")
+
+    @property
+    def kind(self) -> NodeKind:
+        return _KIND_OF_PREFIX[self.name[:4]]
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
-        for kind in NodeKind:
-            if text.startswith(kind.value + ":"):
-                return cls(kind, text)
-        raise ValidationError(f"node id {text!r} lacks a syn:/sem: prefix")
+        return cls(text)
 
     def __str__(self) -> str:
         return self.name
@@ -82,12 +81,12 @@ class NodeId:
 
 def synset_id(bare: str) -> NodeId:
     """Build a synset NodeId from an unprefixed name."""
-    return NodeId(NodeKind.SYNSET, f"syn:{bare}")
+    return NodeId(f"syn:{bare}")
 
 
 def sememe_id(bare: str) -> NodeId:
     """Build a sememe NodeId from an unprefixed name."""
-    return NodeId(NodeKind.SEMEME, f"sem:{bare}")
+    return NodeId(f"sem:{bare}")
 
 
 @dataclass(frozen=True)
@@ -468,11 +467,12 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
 
     Three-column lines default to the train split; four-column lines carry
     an explicit split label.  Malformed lines raise :class:`ParseError`
-    naming the line number.
+    naming the line number.  A repeated triplet is dropped, unless its split
+    label differs, which raises :class:`ValidationError` naming both lines.
     """
     path = Path(path)
     triplets: list[Triplet] = []
-    split: dict[Triplet, Split] = {}
+    first: dict[Triplet, tuple[Split, int]] = {}
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) not in (3, 4):
@@ -483,19 +483,27 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
             triplet = make_triplet(head, fields[1], tail)
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        label = Split.TRAIN
         if len(fields) == 4:
             try:
-                split[triplet] = Split(fields[3])
+                label = Split(fields[3])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: unknown split label {fields[3]!r}") from exc
+        first_label, first_line = first.setdefault(triplet, (label, lineno))
+        if first_label is not label:
+            raise ValidationError(
+                f"{path}:{lineno}: triplet {' '.join(fields[:3])} is {label.value} here "
+                f"but {first_label.value} on line {first_line}"
+            )
         triplets.append(triplet)
     pos = load_pos_tags(pos_path) if pos_path is not None else {}
-    return TripletStore(triplets, pos, split)
+    return TripletStore(triplets, pos, {t: label for t, (label, _) in first.items()})
 
 
 def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:
     path = Path(path)
     tags: dict[NodeId, Pos] = {}
+    first_line: dict[NodeId, int] = {}
     for lineno, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
@@ -504,6 +512,8 @@ def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:
             node = NodeId.parse(fields[0])
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if first_line.setdefault(node, lineno) != lineno:
+            raise ValidationError(f"{path}:{lineno}: {node} already tagged on line {first_line[node]}")
         try:
             tags[node] = Pos(fields[1])
         except ValueError as exc:

@@ -226,6 +226,18 @@ class TestExitCodes:
         assert code == 2
         assert "no model inputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_repeated_prediction_names_the_dump_line(self, tmp_path, capsys, command):
+        data, dump = tmp_path / "data.tsv", tmp_path / "predictions.tsv"
+        data.write_text("syn:a\thave_sememe\tsem:p\ttest\n")
+        dump.write_text("syn:a\tsem:p:1\tsem:p\nsyn:a\tsem:p:1\tsem:p\n")
+        code = main([
+            command, "--data", str(data), "--predictions", str(dump),
+            "--split", "test", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "predictions.tsv:2: duplicate prediction for syn:a, first on line 1" in capsys.readouterr().err
+
     def test_success_returns_zero(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "out"),
                      "--set", "synth.n_synsets=4", "--set", "synth.n_sememes=6",

@@ -276,6 +276,14 @@ class TestPredictionDump:
         with pytest.raises(ParseError, match=rf"predictions\.tsv:2: {message}"):
             load_predictions(path)
 
+    def test_repeated_target_names_both_lines(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("syn:b\tsem:s1:1.0\t\nsyn:u\t\t\n\nsyn:b\tsem:s2:1.0\t\n")
+        with pytest.raises(
+            ParseError, match=r"predictions\.tsv:4: duplicate prediction for syn:b, first on line 1"
+        ):
+            load_predictions(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "predictions.tsv"
         path.write_text("\nsyn:t\tsem:s1:1.0\tsem:s1\n\n")

@@ -41,9 +41,25 @@ class TestIds:
         with pytest.raises(ValidationError):
             NodeId.parse("node:x")
         with pytest.raises(ValidationError):
-            NodeId(NodeKind.SYNSET, "sem:x")
-        with pytest.raises(ValidationError):
-            NodeId(NodeKind.SYNSET, "syn:")
+            NodeId("syn:")
+
+    @pytest.mark.parametrize("text", ["sem:", "syn", ""])
+    def test_prefix_without_a_name_rejected(self, text):
+        with pytest.raises(ValidationError, match=f"node id {text!r} lacks"):
+            NodeId(text)
+
+    def test_kind_follows_the_prefix(self):
+        assert NodeId("syn:a").kind is NodeKind.SYNSET
+        assert NodeId("sem:a").kind is NodeKind.SEMEME
+
+    def test_id_never_equals_a_string(self):
+        assert NodeId("syn:a") != "syn:a"
+        assert "syn:a" != NodeId("syn:a")
+
+    @given(st.sampled_from(["syn:", "sem:"]), st.text(min_size=1))
+    def test_parse_round_trip(self, prefix, rest):
+        node = NodeId(prefix + rest)
+        assert NodeId.parse(str(node)) == node
 
     def test_relation_round_trip(self):
         rel = RelationId(RelationKind.SEMEME_SEMEME, "antonym")
@@ -286,6 +302,34 @@ class TestFileFormats:
         path.write_text("syn:a\thave_sememe\tsem:p\tdev\n", encoding="utf-8")
         with pytest.raises(ParseError, match="dev"):
             load_triplets(path)
+
+    def test_repeated_label_is_deduplicated(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("syn:a\thave_sememe\tsem:p\ttest\nsyn:a\thave_sememe\tsem:p\ttest\n")
+        store = load_triplets(path)
+        assert len(store) == 1
+        assert store.split_of(store.triplets[0]) is Split.TEST
+
+    @pytest.mark.parametrize(
+        ("first", "again", "labels"),
+        [("\ttrain", "\ttest", "test here but train"), ("", "\tvalid", "valid here but train")],
+        ids=["explicit", "implicit-train"],
+    )
+    def test_conflicting_split_labels_name_both_lines(self, tmp_path, first, again, labels):
+        path = tmp_path / "data.tsv"
+        triplet = "syn:a\thave_sememe\tsem:p"
+        path.write_text(f"{triplet}{first}\nsyn:b\thave_sememe\tsem:p\n{triplet}{again}\n")
+        with pytest.raises(
+            ValidationError,
+            match=rf"data\.tsv:3: triplet syn:a have_sememe sem:p is {labels} on line 1",
+        ):
+            load_triplets(path)
+
+    def test_repeated_pos_node_names_both_lines(self, tmp_path):
+        path = tmp_path / "pos.tsv"
+        path.write_text("syn:a\tnoun\nsyn:b\tverb\nsyn:a\tverb\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"pos\.tsv:3: syn:a already tagged on line 1"):
+            load_pos_tags(path)
 
     def test_bad_pos_tag(self, tmp_path):
         path = tmp_path / "pos.tsv"
