@@ -55,9 +55,9 @@ class PredictionResult:
             raise ValidationError(
                 f"prediction target {self.target} does not match ranking target {self.ranking.target}"
             )
-        ranked = set(self.ranking.sememes())
-        if not self.selected <= ranked:
-            extra = sorted(s.name for s in self.selected - ranked)
+        ranked = {s.name for s, _ in self.ranking.entries}
+        extra = sorted(s.name for s in self.selected if s.name not in ranked)
+        if extra:
             raise ValidationError(f"selected sememes missing from ranking: {extra}")
 
 
@@ -83,9 +83,11 @@ def fuse(
     if not present:
         raise ContractError("fusion needs at least one ranking")
     if similarity is not None and translation is not None:
-        if set(similarity.sememes()) != set(translation.sememes()):
-            only_sim = sorted(s.name for s in set(similarity.sememes()) - set(translation.sememes()))
-            only_tr = sorted(s.name for s in set(translation.sememes()) - set(similarity.sememes()))
+        sim_names = {s.name for s, _ in similarity.entries}
+        tr_names = {s.name for s, _ in translation.entries}
+        if sim_names != tr_names:
+            only_sim = sorted(sim_names - tr_names)
+            only_tr = sorted(tr_names - sim_names)
             raise ContractError(
                 f"candidate sets differ between the two rankings for {translation.target}: "
                 f"similarity-only {only_sim[:3]}, translation-only {only_tr[:3]}"
@@ -101,11 +103,12 @@ def fuse(
             f"so every sememe would score 0"
         )
     (first, weight, _), *rest = present
-    scores = {s: weight / rank for rank, s in enumerate(first.sememes(), start=1)}
+    nodes = {s.name: s for s in first.sememes()}
+    scores = {name: weight / rank for rank, name in enumerate(nodes, start=1)}
     for ranking, weight, _ in rest:
         for rank, s in enumerate(ranking.sememes(), start=1):
-            scores[s] += weight / rank
-    return ScoredRanking.from_scores(first.target, scores)
+            scores[s.name] += weight / rank
+    return ScoredRanking.from_named(first.target, nodes, scores)
 
 
 def threshold_select(
@@ -132,7 +135,8 @@ def save_predictions(results: Iterable[PredictionResult], path: str | Path) -> N
             ranked = ",".join(
                 "%s:%.17g" % (s.name, score) for s, score in result.ranking.entries
             )
-            chosen = ",".join(s.name for s in result.ranking.sememes() if s in result.selected)
+            selected = {s.name for s in result.selected}
+            chosen = ",".join(s.name for s, _ in result.ranking.entries if s.name in selected)
             fh.write(f"{result.target.name}\t{ranked}\t{chosen}\n")
 
 
@@ -144,7 +148,17 @@ def load_predictions(
     :class:`ParseError` naming both lines."""
     path = Path(path)
     results: list[PredictionResult] = []
-    first_line: dict[NodeId, int] = {}
+    first_line: dict[str, int] = {}
+    # One NodeId per distinct name; a malformed id fails on the line where
+    # it first appears.
+    ids: dict[str, NodeId] = {}
+
+    def node(name: str) -> NodeId:
+        found = ids.get(name)
+        if found is None:
+            found = ids[name] = NodeId.parse(name)
+        return found
+
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -154,10 +168,10 @@ def load_predictions(
             if len(fields) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}")
             try:
-                target = NodeId.parse(fields[0])
-                if first_line.setdefault(target, lineno) != lineno:
+                target = node(fields[0])
+                if first_line.setdefault(target.name, lineno) != lineno:
                     raise ParseError(
-                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target]}"
+                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target.name]}"
                     )
                 entries: list[tuple[NodeId, float]] = []
                 if fields[1]:
@@ -167,9 +181,9 @@ def load_predictions(
                             score = float(score_text)
                         except ValueError as exc:
                             raise ParseError(f"{path}:{lineno}: bad score in {item!r}") from exc
-                        entries.append((NodeId.parse(name), score))
+                        entries.append((node(name), score))
                 ranking = ScoredRanking(target, tuple(entries))
-                selected = frozenset(NodeId.parse(name) for name in fields[2].split(",") if name)
+                selected = frozenset(node(name) for name in fields[2].split(",") if name)
                 results.append(PredictionResult(target, ranking, selected, provenance))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc

@@ -423,16 +423,15 @@ def rank_sememes(
     """
     if target.kind is not NodeKind.SYNSET:
         raise ContractError(f"prediction target must be a synset, got {target}")
-    unique = sorted(set(candidates), key=lambda n: n.name)
-    if not unique:
+    nodes = {s.name: s for s in candidates}
+    names = sorted(nodes)
+    if not names:
         raise ContractError(f"empty candidate set for {target}")
-    for s in unique:
-        if s.kind is not NodeKind.SEMEME:
-            raise ContractError(f"candidate {s} is not a sememe")
+    for name in names:
+        if nodes[name].kind is not NodeKind.SEMEME:
+            raise ContractError(f"candidate {nodes[name]} is not a sememe")
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
-    rows = table.node_matrix[[table.node_index(s) for s in unique]]
+    rows = table.node_matrix[[table.node_index(nodes[name]) for name in names]]
     diff = rows - query[None, :]
     scores = -np.einsum("ij,ij->i", diff, diff)
-    return ScoredRanking.from_scores(
-        target, {s: float(v) for s, v in zip(unique, scores)}
-    )
+    return ScoredRanking.from_named(target, nodes, dict(zip(names, scores.tolist())))

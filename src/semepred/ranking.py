@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import UnknownIdError, ValidationError
@@ -22,7 +23,6 @@ class ScoredRanking:
 
     target: NodeId
     entries: tuple[tuple[NodeId, float], ...]
-    _rank_index: dict[NodeId, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         names = [s.name for s, _ in self.entries]
@@ -33,26 +33,44 @@ class ScoredRanking:
         if non_finite:
             raise ValidationError(f"ranking for {self.target} has non-finite scores for {non_finite}")
         for i in range(1, len(self.entries)):
-            prev, cur = self.entries[i - 1], self.entries[i]
-            if cur[1] > prev[1] or (cur[1] == prev[1] and cur[0].name < prev[0].name):
+            prev, cur = self.entries[i - 1][1], self.entries[i][1]
+            if cur > prev or (cur == prev and names[i] < names[i - 1]):
                 raise ValidationError(
                     f"ranking for {self.target} is out of order at position {i + 1}"
                 )
-        object.__setattr__(
-            self, "_rank_index", {s: i + 1 for i, (s, _) in enumerate(self.entries)}
-        )
 
     @classmethod
     def from_scores(cls, target: NodeId, scores: Mapping[NodeId, float]) -> "ScoredRanking":
-        ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0].name))
-        return cls(target, tuple(ordered))
+        nodes = {s.name: s for s in scores}
+        return cls.from_named(target, nodes, {s.name: v for s, v in scores.items()})
+
+    @classmethod
+    def from_named(
+        cls, target: NodeId, nodes: Mapping[str, NodeId], scores: Mapping[str, float]
+    ) -> "ScoredRanking":
+        """The ranking of ``scores``, keyed by sememe name, with ``nodes``
+        giving the id of each name.  Keying on names keeps the sort and the
+        lookups on ``str`` hashes, which Python caches."""
+        if any(map(math.isnan, scores.values())):
+            # NaN compares false both ways, so the order, and with it the
+            # name list of the non-finite error, depends on the sort used.
+            names = sorted(scores, key=lambda n: (-scores[n], n))
+        else:
+            names = sorted(scores)
+            # A stable descending sort keeps equal scores in name order.
+            names.sort(key=scores.__getitem__, reverse=True)
+        return cls(target, tuple((nodes[n], scores[n]) for n in names))
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _rank_index(self) -> dict[str, int]:
+        return {s.name: i for i, (s, _) in enumerate(self.entries, start=1)}
+
     def rank(self, sememe: NodeId) -> int:
         try:
-            return self._rank_index[sememe]
+            return self._rank_index[sememe.name]
         except KeyError as exc:
             raise UnknownIdError(f"{sememe} is not ranked for {self.target}") from exc
 
@@ -63,4 +81,4 @@ class ScoredRanking:
         return tuple(s for s, _ in self.entries)
 
     def __contains__(self, sememe: NodeId) -> bool:
-        return sememe in self._rank_index
+        return sememe.name in self._rank_index

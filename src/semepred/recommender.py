@@ -42,7 +42,9 @@ class SemanticVectorStore:
 
     Vectors come from an external resource, so synsets unknown to the
     triplet store are kept but flagged; zero vectors are rejected because
-    cosine similarity is undefined for them.
+    cosine similarity is undefined for them.  The vectors are held as one
+    read-only matrix with a row per synset in name order, next to its row
+    norms, both computed once here and shared by every neighbour search.
     """
 
     def __init__(self, dimension: int, vectors: Mapping[NodeId, np.ndarray]) -> None:
@@ -63,7 +65,14 @@ class SemanticVectorStore:
         if zero_ids:
             raise ValidationError(f"zero vectors are not allowed: {sorted(zero_ids)}")
         self._dimension = dimension
-        self._vectors = {n: np.array(v, dtype=np.float64) for n, v in vectors.items()}
+        ordered = sorted(vectors.items(), key=lambda item: item[0].name)
+        self._ids = tuple(node for node, _ in ordered)
+        self._row = {node.name: i for i, node in enumerate(self._ids)}
+        self._matrix = np.array([vec for _, vec in ordered], dtype=np.float64).reshape(
+            len(ordered), dimension
+        )
+        self._matrix.flags.writeable = False
+        self._norms = np.linalg.norm(self._matrix, axis=1)
         self.unknown: tuple[NodeId, ...] = ()
 
     @property
@@ -71,17 +80,18 @@ class SemanticVectorStore:
         return self._dimension
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._ids)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._vectors
+        return node.name in self._row
 
     def synsets(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self._vectors, key=lambda n: n.name))
+        return self._ids
 
     def vector(self, node: NodeId) -> np.ndarray:
+        """The synset's row, a read-only view."""
         try:
-            return self._vectors[node]
+            return self._matrix[self._row[node.name]]
         except KeyError as exc:
             raise CoverageError(f"no semantic vector for {node}") from exc
 
@@ -90,24 +100,20 @@ class SemanticVectorStore:
         cls, path: str | Path, known_synsets: Iterable[NodeId] | None = None
     ) -> "SemanticVectorStore":
         dimension, rows = read_vector_file(path, _parse_synset_id)
-        vectors = dict(rows)
-        store = cls(dimension, vectors)
+        store = cls(dimension, dict(rows))
         if known_synsets is not None:
-            known = set(known_synsets)
-            unknown = tuple(sorted((n for n in vectors if n not in known), key=lambda n: n.name))
-            store.unknown = unknown
-            if unknown:
+            known = {n.name for n in known_synsets}
+            store.unknown = tuple(n for n in store._ids if n.name not in known)
+            if store.unknown:
                 logger.warning(
                     "%d semantic vectors have no synset in the triplet store (e.g. %s)",
-                    len(unknown),
-                    unknown[0],
+                    len(store.unknown),
+                    store.unknown[0],
                 )
         return store
 
     def save(self, path: str | Path) -> None:
-        write_vector_file(
-            path, self._dimension, ((n.name, self._vectors[n]) for n in self.synsets())
-        )
+        write_vector_file(path, self._dimension, zip((n.name for n in self._ids), self._matrix))
 
 
 def _parse_synset_id(text: str) -> NodeId:
@@ -123,21 +129,24 @@ def rank_neighbors(
     """Annotated synsets with vectors, sorted by cosine to ``target``.
 
     Descending cosine with lexicographic tie-breaking; the target never
-    appears in its own neighbor list.  Raises :class:`CoverageError` when
-    the target has no vector or no annotated synset does, in which case
-    the caller falls back to translation-only prediction.
+    appears in its own neighbor list.  One matrix-vector product over the
+    store's rows for ``annotated`` computes every cosine.  Raises
+    :class:`CoverageError` when the target has no vector or no annotated
+    synset does, in which case the caller falls back to translation-only
+    prediction.
     """
     query = store.vector(target)
-    candidates = sorted(
-        (n for n in set(annotated) if n != target and n in store), key=lambda n: n.name
-    )
-    if not candidates:
+    names = {n.name for n in annotated}
+    names.discard(target.name)
+    row_of = store._row
+    rows = np.array(sorted(row_of[name] for name in names if name in row_of), dtype=np.intp)
+    if not rows.size:
         raise CoverageError(f"no annotated synset has a semantic vector to compare with {target}")
-    matrix = np.stack([store.vector(n) for n in candidates])
-    sims = matrix @ query / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(query))
-    pairs = [(n, float(s)) for n, s in zip(candidates, sims)]
-    pairs.sort(key=lambda p: (-p[1], p[0].name))
-    return pairs
+    sims = store._matrix[rows] @ query / (store._norms[rows] * np.linalg.norm(query))
+    # Rows are in name order, so a stable sort breaks cosine ties by name.
+    order = np.argsort(-sims, kind="stable")
+    ids = store._ids
+    return [(ids[row], cos) for row, cos in zip(rows[order].tolist(), sims[order].tolist())]
 
 
 def score_sememes(
@@ -158,19 +167,22 @@ def score_sememes(
     if not neighbors:
         raise ContractError(f"no neighbors to aggregate for {target}")
     capped = neighbors if config.neighbor_cap is None else neighbors[: config.neighbor_cap]
-    scores: dict[NodeId, float] = {}
+    nodes: dict[str, NodeId] = {}
+    scores: dict[str, float] = {}
     if candidates is not None:
         for s in candidates:
             if s.kind is not NodeKind.SEMEME:
                 raise ContractError(f"candidate {s} is not a sememe")
-            scores[s] = 0.0
+            nodes[s.name] = s
+            scores[s.name] = 0.0
     for rank, (neighbor, cos) in enumerate(capped, start=1):
         if neighbor not in annotations:
             raise ContractError(f"neighbor {neighbor} has no annotation entry")
         weight = max(cos, 0.0) * config.decay**rank
         for s in annotations[neighbor]:
-            scores[s] = scores.get(s, 0.0) + weight
-    return ScoredRanking.from_scores(target, scores)
+            nodes[s.name] = s
+            scores[s.name] = scores.get(s.name, 0.0) + weight
+    return ScoredRanking.from_named(target, nodes, scores)
 
 
 def recommend(

@@ -290,3 +290,17 @@ class TestPredictionDump:
         loaded = load_predictions(path)
         assert len(loaded) == 1
         assert loaded[0].selected == {sememe_id("s1")}
+
+    def test_malformed_id_names_the_line_where_it_first_appears(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("syn:u\tsem:s1:1.0\t\nsyn:v\tsem:s1:1.0,s2:0.5\t\nsyn:w\ts2:1.0\t\n")
+        with pytest.raises(ParseError, match=r"predictions\.tsv:2: node id 's2' lacks"):
+            load_predictions(path)
+
+    def test_a_name_repeated_across_lines_is_one_id(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_text("syn:u\tsem:s1:1.0\tsem:s1\nsyn:v\tsem:s2:2.0,sem:s1:1.0\tsem:s1\n")
+        first, second = load_predictions(path)
+        shared = first.ranking.entries[0][0]
+        assert second.ranking.entries[1][0] is shared
+        assert next(iter(second.selected)) is shared

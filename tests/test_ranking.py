@@ -40,6 +40,15 @@ class TestLookups:
         assert sememe_id("a") in ranking
         assert sememe_id("zz") not in ranking
 
+    def test_looking_up_a_rank_leaves_equality_and_hash_alone(self):
+        scores = {sememe_id("a"): 0.5, sememe_id("b"): 1.5}
+        looked_up = ScoredRanking.from_scores(TARGET, scores)
+        assert looked_up.rank(sememe_id("a")) == 2
+        fresh = ScoredRanking.from_scores(TARGET, scores)
+        assert looked_up == fresh
+        assert hash(looked_up) == hash(fresh)
+        assert "_rank_index" not in repr(looked_up)
+
     def test_unranked_sememe_raises(self):
         ranking = ScoredRanking.from_scores(TARGET, {sememe_id("a"): 0.5})
         with pytest.raises(UnknownIdError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -123,6 +124,55 @@ class TestVectorStore:
         store = _store({"a": [1.0, 0.0]})
         with pytest.raises(CoverageError):
             store.vector(synset_id("missing"))
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(3)
+        store = _store({name: rng.normal(size=4).tolist() for name in ("d", "b", "a10", "a2", "c")})
+        store.save(tmp_path / "first.tsv")
+        SemanticVectorStore.load(tmp_path / "first.tsv").save(tmp_path / "second.tsv")
+        assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "second.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synsets_in_name_order_whatever_the_input_order(self, seed):
+        names = ["b", "a10", "a2", "c", "a", "B"]
+        random.Random(seed).shuffle(names)
+        store = _store({name: [1.0, float(i)] for i, name in enumerate(names)})
+        assert [n.name for n in store.synsets()] == sorted(f"syn:{n}" for n in names)
+        for i, name in enumerate(names):
+            np.testing.assert_array_equal(store.vector(synset_id(name)), [1.0, float(i)])
+
+    def test_vector_is_read_only_and_input_is_copied(self):
+        given = np.array([1.0, 2.0])
+        store = SemanticVectorStore(2, {synset_id("a"): given})
+        with pytest.raises(ValueError):
+            store.vector(synset_id("a"))[0] = 5.0
+        given[1] = 7.0
+        np.testing.assert_array_equal(store.vector(synset_id("a")), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        ("vectors", "message"),
+        [
+            (
+                {synset_id("ok"): [1.0, 0.0], synset_id("z"): [0.0, 0.0], synset_id("y"): [0.0, 0.0]},
+                "zero vectors are not allowed: ['syn:y', 'syn:z']",
+            ),
+            ({synset_id("a"): [1.0, math.inf]}, "vector for syn:a has non-finite components"),
+            ({sememe_id("s"): [1.0, 0.0]}, "semantic vectors are keyed by synset ids, got sem:s"),
+            ({synset_id("a"): [1.0, 0.0, 2.0]}, "vector for syn:a has shape (3,), expected (2,)"),
+        ],
+        ids=["zero", "non-finite", "wrong-kind", "wrong-shape"],
+    )
+    def test_construction_errors_read_exactly(self, vectors, message):
+        with pytest.raises(ValidationError) as info:
+            SemanticVectorStore(2, {n: np.array(v) for n, v in vectors.items()})
+        assert str(info.value) == message
+
+    def test_duplicate_error_reads_exactly(self, tmp_path):
+        path = tmp_path / "vectors.tsv"
+        path.write_text("D=2\nsyn:a\t1.0 0.5\nsyn:a\t1.0 2.0\n")
+        with pytest.raises(ValidationError) as info:
+            SemanticVectorStore.load(path)
+        assert str(info.value) == f"{path}:3: duplicate id 'syn:a'"
 
 
 class TestRankNeighbors:
