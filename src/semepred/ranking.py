@@ -51,14 +51,9 @@ class ScoredRanking:
         """The ranking of ``scores``, keyed by sememe name, with ``nodes``
         giving the id of each name.  Keying on names keeps the sort and the
         lookups on ``str`` hashes, which Python caches."""
-        if any(map(math.isnan, scores.values())):
-            # NaN compares false both ways, so the order, and with it the
-            # name list of the non-finite error, depends on the sort used.
-            names = sorted(scores, key=lambda n: (-scores[n], n))
-        else:
-            names = sorted(scores)
-            # A stable descending sort keeps equal scores in name order.
-            names.sort(key=scores.__getitem__, reverse=True)
+        names = sorted(scores)
+        # A stable descending sort keeps equal scores in name order.
+        names.sort(key=scores.__getitem__, reverse=True)
         return cls(target, tuple((nodes[n], scores[n]) for n in names))
 
     def __len__(self) -> int:

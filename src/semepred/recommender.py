@@ -41,8 +41,9 @@ class SemanticVectorStore:
     """Dense semantic vectors keyed by synset id.
 
     Vectors come from an external resource, so synsets unknown to the
-    triplet store are kept but flagged; zero vectors are rejected because
-    cosine similarity is undefined for them.  The vectors are held as one
+    triplet store are kept but flagged; zero vectors, and vectors whose
+    norm overflows or underflows float64, are rejected because cosine
+    similarity is undefined for them.  The vectors are held as one
     read-only matrix with a row per synset in name order, next to its row
     norms, both computed once here and shared by every neighbour search.
     """
@@ -72,7 +73,15 @@ class SemanticVectorStore:
             len(ordered), dimension
         )
         self._matrix.flags.writeable = False
-        self._norms = np.linalg.norm(self._matrix, axis=1)
+        # Finite nonzero components can still square past the float64 range.
+        with np.errstate(over="ignore"):
+            self._norms = np.linalg.norm(self._matrix, axis=1)
+        bad = ~(np.isfinite(self._norms) & (self._norms > 0))
+        if bad.any():
+            raise ValidationError(
+                "vectors whose norm overflows or underflows are not allowed: "
+                f"{[self._ids[i].name for i in np.flatnonzero(bad)]}"
+            )
         self.unknown: tuple[NodeId, ...] = ()
 
     @property

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,18 @@ class TestConstruction:
             ScoredRanking(TARGET, ((sememe_id("a"), 1.0), (sememe_id("b"), 2.0)))
         with pytest.raises(ValidationError, match="out of order"):
             ScoredRanking(TARGET, ((sememe_id("b"), 1.0), (sememe_id("a"), 1.0)))
+
+    def test_non_finite_scores_rejected_naming_each(self):
+        scores = {
+            sememe_id("a"): math.nan,
+            sememe_id("b"): 1.0,
+            sememe_id("c"): math.inf,
+            sememe_id("d"): -math.inf,
+        }
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            ScoredRanking.from_scores(TARGET, scores)
+        named = set(re.findall(r"'(sem:\w+)'", str(err.value)))
+        assert named == {"sem:a", "sem:c", "sem:d"}
 
     def test_empty_ranking_allowed(self):
         assert len(ScoredRanking(TARGET, ())) == 0

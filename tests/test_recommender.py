@@ -76,6 +76,13 @@ class TestVectorStore:
         with pytest.raises(ValidationError, match="non-finite"):
             _store({"a": [1.0, math.nan]})
 
+    @pytest.mark.parametrize("component", [1e155, -1e200, 1e-170])
+    def test_norm_out_of_float_range_rejected_listing_the_ids(self, component):
+        # Each component is finite and nonzero, but squaring it overflows
+        # or underflows, so the norm is inf or 0 and no cosine exists.
+        with pytest.raises(ValidationError, match=r"norm overflows or underflows.*\['syn:x', 'syn:y'\]"):
+            _store({"y": [component, 0.0], "ok": [1.0, 2.0], "x": [0.0, component]})
+
     def test_sememe_key_rejected(self):
         with pytest.raises(ValidationError):
             SemanticVectorStore(2, {sememe_id("s"): np.array([1.0, 0.0])})
