@@ -10,6 +10,7 @@ at every layer, and every command echoes the fully resolved settings to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -92,8 +93,6 @@ def parse_value(key: str, text: str) -> object:
     try:
         if tag == "int":
             return int(text)
-        if tag == "float":
-            return float(text)
         if tag == "bool":
             if text == "true":
                 return True
@@ -102,11 +101,17 @@ def parse_value(key: str, text: str) -> object:
             raise ValueError(text)
         if tag == "ints":
             return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-        if tag == "floats":
-            return tuple(float(part.strip()) for part in text.split(",") if part.strip())
-        return text
+        if tag == "float":
+            floats = (float(text),)
+        elif tag == "floats":
+            floats = tuple(float(part.strip()) for part in text.split(",") if part.strip())
+        else:
+            return text
     except ValueError as exc:
         raise ConfigError(f"setting {key} expects a {tag}, got {text!r}") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"setting {key} must be finite, got {text!r}")
+    return floats[0] if tag == "float" else floats
 
 
 def format_value(key: str, value: object) -> str:

@@ -111,12 +111,12 @@ class EmbeddingTable:
             raise ValidationError("node ids must be sorted by name")
         if list(self.relation_ids) != sorted(self.relation_ids, key=lambda r: r.sort_key):
             raise ValidationError("relation ids must be sorted by (kind, name)")
-        self._node_index = {n.name: i for i, n in enumerate(self.node_ids)}
+        self._node_index = {n: i for i, n in enumerate(self.node_ids)}
         self._relation_index = {r: i for i, r in enumerate(self.relation_ids)}
 
     def node_index(self, node: NodeId) -> int:
         try:
-            return self._node_index[node.name]
+            return self._node_index[node]
         except KeyError as exc:
             raise UnknownIdError(f"no embedding for node {node}") from exc
 

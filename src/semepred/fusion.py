@@ -55,8 +55,7 @@ class PredictionResult:
             raise ValidationError(
                 f"prediction target {self.target} does not match ranking target {self.ranking.target}"
             )
-        ranked = {s.name for s, _ in self.ranking.entries}
-        extra = sorted(s.name for s in self.selected if s.name not in ranked)
+        extra = sorted(s.name for s in self.selected if s not in self.ranking)
         if extra:
             raise ValidationError(f"selected sememes missing from ranking: {extra}")
 
@@ -83,11 +82,10 @@ def fuse(
     if not present:
         raise ContractError("fusion needs at least one ranking")
     if similarity is not None and translation is not None:
-        sim_names = {s.name for s, _ in similarity.entries}
-        tr_names = {s.name for s, _ in translation.entries}
-        if sim_names != tr_names:
-            only_sim = sorted(sim_names - tr_names)
-            only_tr = sorted(tr_names - sim_names)
+        sim_set, tr_set = set(similarity.sememes()), set(translation.sememes())
+        if sim_set != tr_set:
+            only_sim = sorted(s.name for s in sim_set - tr_set)
+            only_tr = sorted(s.name for s in tr_set - sim_set)
             raise ContractError(
                 f"candidate sets differ between the two rankings for {translation.target}: "
                 f"similarity-only {only_sim[:3]}, translation-only {only_tr[:3]}"
@@ -103,12 +101,11 @@ def fuse(
             f"so every sememe would score 0"
         )
     (first, weight, _), *rest = present
-    nodes = {s.name: s for s in first.sememes()}
-    scores = {name: weight / rank for rank, name in enumerate(nodes, start=1)}
+    scores = {s: weight / rank for rank, s in enumerate(first.sememes(), start=1)}
     for ranking, weight, _ in rest:
         for rank, s in enumerate(ranking.sememes(), start=1):
-            scores[s.name] += weight / rank
-    return ScoredRanking.from_named(first.target, nodes, scores)
+            scores[s] += weight / rank
+    return ScoredRanking.from_scores(first.target, scores)
 
 
 def threshold_select(
@@ -135,8 +132,7 @@ def save_predictions(results: Iterable[PredictionResult], path: str | Path) -> N
             ranked = ",".join(
                 "%s:%.17g" % (s.name, score) for s, score in result.ranking.entries
             )
-            selected = {s.name for s in result.selected}
-            chosen = ",".join(s.name for s, _ in result.ranking.entries if s.name in selected)
+            chosen = ",".join(s.name for s, _ in result.ranking.entries if s in result.selected)
             fh.write(f"{result.target.name}\t{ranked}\t{chosen}\n")
 
 
@@ -148,17 +144,7 @@ def load_predictions(
     :class:`ParseError` naming both lines."""
     path = Path(path)
     results: list[PredictionResult] = []
-    first_line: dict[str, int] = {}
-    # One NodeId per distinct name; a malformed id fails on the line where
-    # it first appears.
-    ids: dict[str, NodeId] = {}
-
-    def node(name: str) -> NodeId:
-        found = ids.get(name)
-        if found is None:
-            found = ids[name] = NodeId.parse(name)
-        return found
-
+    first_line: dict[NodeId, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -168,10 +154,10 @@ def load_predictions(
             if len(fields) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}")
             try:
-                target = node(fields[0])
-                if first_line.setdefault(target.name, lineno) != lineno:
+                target = NodeId(fields[0])
+                if first_line.setdefault(target, lineno) != lineno:
                     raise ParseError(
-                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target.name]}"
+                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target]}"
                     )
                 entries: list[tuple[NodeId, float]] = []
                 if fields[1]:
@@ -181,9 +167,9 @@ def load_predictions(
                             score = float(score_text)
                         except ValueError as exc:
                             raise ParseError(f"{path}:{lineno}: bad score in {item!r}") from exc
-                        entries.append((node(name), score))
+                        entries.append((NodeId(name), score))
                 ranking = ScoredRanking(target, tuple(entries))
-                selected = frozenset(node(name) for name in fields[2].split(",") if name)
+                selected = frozenset(NodeId(name) for name in fields[2].split(",") if name)
                 results.append(PredictionResult(target, ranking, selected, provenance))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc

@@ -56,16 +56,38 @@ class Split(enum.Enum):
 _KIND_OF_PREFIX = {kind.value + ":": kind for kind in NodeKind}
 
 
-@dataclass(frozen=True, slots=True)
 class NodeId:
     """A node id: ``syn:`` or ``sem:``, which is its kind, then a non-empty
-    name, e.g. ``"syn:bn:00045106n"``; sorting by ``name`` is total and stable."""
+    name, e.g. ``"syn:bn:00045106n"``; sorting by ``name`` is total and stable.
 
+    Ids are interned, one instance per name, so they compare and hash by
+    identity, in C.  The table is never pruned: an id keeps its hash, and a
+    hash-ordered set its order, for the life of the process."""
+
+    __slots__ = ("name",)
     name: str
+    _interned: dict[str, "NodeId"] = {}
 
-    def __post_init__(self) -> None:
-        if self.name[:4] not in _KIND_OF_PREFIX or len(self.name) == 4:
-            raise ValidationError(f"node id {self.name!r} lacks a syn:/sem: prefix or a name after it")
+    def __new__(cls, name: str) -> "NodeId":
+        node = cls._interned.get(name)
+        if node is None:
+            if name[:4] not in _KIND_OF_PREFIX or len(name) == 4:
+                raise ValidationError(f"node id {name!r} lacks a syn:/sem: prefix or a name after it")
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            cls._interned[name] = node
+        return node
+
+    def __setattr__(self, attr: str, value: object = None) -> None:
+        raise AttributeError(f"NodeId is immutable: cannot set or delete {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[str]]:
+        return NodeId, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"NodeId(name={self.name!r})"
 
     @property
     def kind(self) -> NodeKind:

@@ -423,15 +423,14 @@ def rank_sememes(
     """
     if target.kind is not NodeKind.SYNSET:
         raise ContractError(f"prediction target must be a synset, got {target}")
-    nodes = {s.name: s for s in candidates}
-    names = sorted(nodes)
-    if not names:
+    ranked = sorted(set(candidates), key=lambda s: s.name)
+    if not ranked:
         raise ContractError(f"empty candidate set for {target}")
-    for name in names:
-        if nodes[name].kind is not NodeKind.SEMEME:
-            raise ContractError(f"candidate {nodes[name]} is not a sememe")
+    for s in ranked:
+        if s.kind is not NodeKind.SEMEME:
+            raise ContractError(f"candidate {s} is not a sememe")
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
-    rows = table.node_matrix[[table.node_index(nodes[name]) for name in names]]
+    rows = table.node_matrix[[table.node_index(s) for s in ranked]]
     diff = rows - query[None, :]
     scores = -np.einsum("ij,ij->i", diff, diff)
-    return ScoredRanking.from_named(target, nodes, dict(zip(names, scores.tolist())))
+    return ScoredRanking.from_scores(target, dict(zip(ranked, scores.tolist())))

@@ -26,7 +26,7 @@ class ScoredRanking:
 
     def __post_init__(self) -> None:
         names = [s.name for s, _ in self.entries]
-        if len(set(names)) != len(names):
+        if len({s for s, _ in self.entries}) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"ranking for {self.target} repeats sememes: {dupes}")
         non_finite = [s.name for s, v in self.entries if not math.isfinite(v)]
@@ -41,31 +41,21 @@ class ScoredRanking:
 
     @classmethod
     def from_scores(cls, target: NodeId, scores: Mapping[NodeId, float]) -> "ScoredRanking":
-        nodes = {s.name: s for s in scores}
-        return cls.from_named(target, nodes, {s.name: v for s, v in scores.items()})
-
-    @classmethod
-    def from_named(
-        cls, target: NodeId, nodes: Mapping[str, NodeId], scores: Mapping[str, float]
-    ) -> "ScoredRanking":
-        """The ranking of ``scores``, keyed by sememe name, with ``nodes``
-        giving the id of each name.  Keying on names keeps the sort and the
-        lookups on ``str`` hashes, which Python caches."""
-        names = sorted(scores)
+        ranked = sorted(scores, key=lambda s: s.name)
         # A stable descending sort keeps equal scores in name order.
-        names.sort(key=scores.__getitem__, reverse=True)
-        return cls(target, tuple((nodes[n], scores[n]) for n in names))
+        ranked.sort(key=scores.__getitem__, reverse=True)
+        return cls(target, tuple((s, scores[s]) for s in ranked))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @cached_property
-    def _rank_index(self) -> dict[str, int]:
-        return {s.name: i for i, (s, _) in enumerate(self.entries, start=1)}
+    def _rank_index(self) -> dict[NodeId, int]:
+        return {s: i for i, (s, _) in enumerate(self.entries, start=1)}
 
     def rank(self, sememe: NodeId) -> int:
         try:
-            return self._rank_index[sememe.name]
+            return self._rank_index[sememe]
         except KeyError as exc:
             raise UnknownIdError(f"{sememe} is not ranked for {self.target}") from exc
 
@@ -76,4 +66,4 @@ class ScoredRanking:
         return tuple(s for s, _ in self.entries)
 
     def __contains__(self, sememe: NodeId) -> bool:
-        return sememe.name in self._rank_index
+        return sememe in self._rank_index

@@ -68,7 +68,7 @@ class SemanticVectorStore:
         self._dimension = dimension
         ordered = sorted(vectors.items(), key=lambda item: item[0].name)
         self._ids = tuple(node for node, _ in ordered)
-        self._row = {node.name: i for i, node in enumerate(self._ids)}
+        self._row = {node: i for i, node in enumerate(self._ids)}
         self._matrix = np.array([vec for _, vec in ordered], dtype=np.float64).reshape(
             len(ordered), dimension
         )
@@ -92,7 +92,7 @@ class SemanticVectorStore:
         return len(self._ids)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node.name in self._row
+        return node in self._row
 
     def synsets(self) -> tuple[NodeId, ...]:
         return self._ids
@@ -100,7 +100,7 @@ class SemanticVectorStore:
     def vector(self, node: NodeId) -> np.ndarray:
         """The synset's row, a read-only view."""
         try:
-            return self._matrix[self._row[node.name]]
+            return self._matrix[self._row[node]]
         except KeyError as exc:
             raise CoverageError(f"no semantic vector for {node}") from exc
 
@@ -111,8 +111,8 @@ class SemanticVectorStore:
         dimension, rows = read_vector_file(path, _parse_synset_id)
         store = cls(dimension, dict(rows))
         if known_synsets is not None:
-            known = {n.name for n in known_synsets}
-            store.unknown = tuple(n for n in store._ids if n.name not in known)
+            known = set(known_synsets)
+            store.unknown = tuple(n for n in store._ids if n not in known)
             if store.unknown:
                 logger.warning(
                     "%d semantic vectors have no synset in the triplet store (e.g. %s)",
@@ -145,10 +145,10 @@ def rank_neighbors(
     prediction.
     """
     query = store.vector(target)
-    names = {n.name for n in annotated}
-    names.discard(target.name)
     row_of = store._row
-    rows = np.array(sorted(row_of[name] for name in names if name in row_of), dtype=np.intp)
+    rows = np.array(
+        sorted(row_of[n] for n in set(annotated) if n is not target and n in row_of), dtype=np.intp
+    )
     if not rows.size:
         raise CoverageError(f"no annotated synset has a semantic vector to compare with {target}")
     sims = store._matrix[rows] @ query / (store._norms[rows] * np.linalg.norm(query))
@@ -176,22 +176,19 @@ def score_sememes(
     if not neighbors:
         raise ContractError(f"no neighbors to aggregate for {target}")
     capped = neighbors if config.neighbor_cap is None else neighbors[: config.neighbor_cap]
-    nodes: dict[str, NodeId] = {}
-    scores: dict[str, float] = {}
+    scores: dict[NodeId, float] = {}
     if candidates is not None:
         for s in candidates:
             if s.kind is not NodeKind.SEMEME:
                 raise ContractError(f"candidate {s} is not a sememe")
-            nodes[s.name] = s
-            scores[s.name] = 0.0
+            scores[s] = 0.0
     for rank, (neighbor, cos) in enumerate(capped, start=1):
         if neighbor not in annotations:
             raise ContractError(f"neighbor {neighbor} has no annotation entry")
         weight = max(cos, 0.0) * config.decay**rank
         for s in annotations[neighbor]:
-            nodes[s.name] = s
-            scores[s.name] = scores.get(s.name, 0.0) + weight
-    return ScoredRanking.from_named(target, nodes, scores)
+            scores[s] = scores.get(s, 0.0) + weight
+    return ScoredRanking.from_scores(target, scores)
 
 
 def recommend(

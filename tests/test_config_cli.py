@@ -137,6 +137,10 @@ class TestResolve:
             ["predict.model=neural"],
             ["eval.split=holdout"],
             ["eval.f1_mode=pooled"],
+            ["train.margin=nan"],
+            ["prepare.ratios=nan,0.1,0.1"],
+            ["fusion.threshold=inf"],
+            ["train.learning_rate=-inf"],
         ],
     )
     def test_validation_failures(self, sets):
@@ -209,6 +213,12 @@ class TestExitCodes:
         monkeypatch.setenv("SEMEPRED_TYPO", "1")
         code = main(["synth", "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_non_finite_env_setting_returns_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEMEPRED_TRAIN__MARGIN", "nan")
+        code = main(["synth", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "train.margin must be finite" in capsys.readouterr().err
 
     def test_runtime_error_returns_two(self, tmp_path, capsys):
         synth_out = tmp_path / "synth"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -60,6 +62,35 @@ class TestIds:
     def test_parse_round_trip(self, prefix, rest):
         node = NodeId(prefix + rest)
         assert NodeId.parse(str(node)) == node
+
+    def test_one_instance_per_name(self):
+        assert NodeId("syn:a") is NodeId.parse("syn:a")
+        assert NodeId("syn:a") is synset_id("a")
+
+    def test_id_is_immutable(self):
+        node = NodeId("syn:a")
+        with pytest.raises(AttributeError):
+            node.name = "syn:b"
+        with pytest.raises(AttributeError):
+            del node.name
+        assert node.name == "syn:a"
+
+    def test_rejected_text_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="node id 'syn:' lacks a syn:/sem: prefix"):
+                NodeId("syn:")
+        assert "syn:" not in NodeId._interned
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))]
+    )
+    def test_copies_are_the_interned_instance(self, clone):
+        node = NodeId("sem:capital")
+        assert clone(node) is node
+        assert clone([node])[0] is node
+
+    def test_repr_names_the_field(self):
+        assert repr(NodeId("syn:a")) == "NodeId(name='syn:a')"
 
     def test_relation_round_trip(self):
         rel = RelationId(RelationKind.SEMEME_SEMEME, "antonym")
