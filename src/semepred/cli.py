@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .atomic import atomic_open
 from .config import (
     Settings,
     bucket_specs,
@@ -114,7 +115,8 @@ def cmd_prepare(settings: Settings) -> None:
     out = _out_dir(settings)
     save_triplets(store, out / "dataset.tsv", include_split=True)
     save_pos_tags(store.pos_tags(), out / "pos.tsv")
-    (out / "summary.txt").write_text(format_stats(store.stats()), encoding="utf-8")
+    with atomic_open(out / "summary.txt") as fh:
+        fh.write(format_stats(store.stats()))
     settings.write_echo(out)
 
 
@@ -207,7 +209,8 @@ def cmd_predict(settings: Settings) -> None:
         summary_lines.append(
             f"provenance[{provenance.value}]\t{provenance_counts.get(provenance.value, 0)}"
         )
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    with atomic_open(out / "summary.txt") as fh:
+        fh.write("\n".join(summary_lines) + "\n")
     settings.write_echo(out)
 
 
@@ -223,7 +226,8 @@ def cmd_eval(settings: Settings) -> None:
     report = evaluate(results, store, split, f1_mode=str(settings["eval.f1_mode"]))
     out = _out_dir(settings)
     save_report_jsonl(report, out / "report.jsonl")
-    (out / "report.txt").write_text(format_report_table(report), encoding="utf-8")
+    with atomic_open(out / "report.txt") as fh:
+        fh.write(format_report_table(report))
     settings.write_echo(out)
 
 

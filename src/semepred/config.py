@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .atomic import atomic_open
 from .errors import ConfigError
 from .evaluation import BucketQuantity, BucketSpec
 from .fusion import FusionConfig
@@ -177,7 +178,8 @@ class Settings:
 
     def write_echo(self, out_dir: str | Path) -> Path:
         out = Path(out_dir) / "config.resolved"
-        out.write_text(self.render(), encoding="utf-8")
+        with atomic_open(out) as fh:
+            fh.write(self.render())
         return out
 
 

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ParseError, UnknownIdError, ValidationError
 from .graph import (
     EQUIVALENCE_RELATION,
@@ -30,8 +31,7 @@ K = TypeVar("K")
 
 
 def write_vector_file(path: str | Path, dimension: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"D={dimension}\n")
         for name, vec in rows:
             if vec.shape != (dimension,):

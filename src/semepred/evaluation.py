@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .atomic import atomic_open
 from .errors import ConfigError, ContractError
 from .fusion import PredictionResult
 from .graph import NodeId, Pos, Split, TripletStore
@@ -309,7 +310,7 @@ _TABLE_ORDER = ("noun", "verb", "adj", "adv", "all")
 
 def save_report_jsonl(report: MetricsReport, path: str | Path) -> None:
     """One JSON record per scope, plus a trailing uncovered-count record."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for scope in sorted(report.rows):
             row = report.rows[scope]
             record = {"scope": scope, "n": row.n, "map": row.map_score, "f1": row.f1}
@@ -341,7 +342,7 @@ def format_report_table(report: MetricsReport) -> str:
 
 
 def save_bucket_csv(rows: Sequence[BucketRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("bucket,low,high,n,map,f1\n")
         for row in rows:
             high = "" if row.high is None else str(row.high)
@@ -353,7 +354,7 @@ def save_bucket_csv(rows: Sequence[BucketRow], path: str | Path) -> None:
 def save_difficulty_table(
     easiest: Sequence[SememeDifficulty], hardest: Sequence[SememeDifficulty], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("group\tsememe\tn\tmap\tf1\n")
         for group, entries in (("easiest", easiest), ("hardest", hardest)):
             for e in entries:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .atomic import atomic_open
 from .errors import ConfigError, ContractError, ParseError, ValidationError
 from .graph import NodeId
 from .ranking import ScoredRanking
@@ -127,7 +128,7 @@ def threshold_select(
 
 
 def save_predictions(results: Iterable[PredictionResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for result in results:
             ranked = ",".join(
                 "%s:%.17g" % (s.name, score) for s, score in result.ranking.entries

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .atomic import atomic_open
 from .errors import ConfigError, ParseError, UnknownIdError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -546,8 +547,7 @@ def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:
 def save_triplets(store: TripletStore, path: str | Path, include_split: bool = False) -> None:
     """Write the store's triplets in insertion order; with ``include_split``
     a fourth column carries each triplet's split label."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for t in store.triplets:
             fields = [t.head.name, t.relation.name, t.tail.name]
             if include_split:
@@ -556,8 +556,7 @@ def save_triplets(store: TripletStore, path: str | Path, include_split: bool = F
 
 
 def save_pos_tags(tags: Mapping[NodeId, Pos], path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for node in sorted(tags, key=lambda n: n.name):
             fh.write(f"{node.name}\t{tags[node].value}\n")
 

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .atomic import atomic_open
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError
 from .graph import (
@@ -168,7 +169,7 @@ def _margin_contributions(
     """Hinge loss plus sparse gradient rows for aligned pos/neg row batches.
 
     Returns (loss, node_indices, node_rows, relation_indices,
-    relation_rows); duplicate indices accumulate under ``np.add.at``.
+    relation_rows); rows of a repeated index are summed in order.
     """
     pos_h, pos_r, pos_t = positives.T
     neg_h, neg_r, neg_t = negatives.T
@@ -186,6 +187,35 @@ def _margin_contributions(
     rel_idx = np.concatenate([pos_r[active], neg_r[active]])
     rel_rows = np.concatenate([two_pos, -two_neg])
     return loss, node_idx, node_rows, rel_idx, rel_rows
+
+
+def _scatter_rows(m: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """``m[idx[i]] += vals[i]`` for every ``i``, bit-identical to ``np.add.at``.
+
+    Pass ``k`` adds the ``k``-th update of every row that has one, with one
+    fancy ``+=``: rows are unique within a pass, and a stable sort keeps
+    each row's updates in index order.  Cheap when no row is hit more than
+    a few dozen times.
+    """
+    if len(idx) == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    _, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
+    for k in range(int(counts.max())):
+        sel = order[starts[counts > k] + k]
+        m[idx[sel]] += vals[sel]
+
+
+def _accumulate_rows(m: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """``m[idx[i]] += vals[i]`` for every ``i``, bit-identical to ``np.add.at``.
+
+    Each distinct row is one sequential running sum seeded with its old
+    value.  Cheap when a few rows take thousands of updates each.
+    """
+    for r in np.unique(idx):
+        block = np.concatenate([m[r][None], vals[idx == r]])
+        np.add.accumulate(block, axis=0, out=block)
+        m[r] = block[-1]
 
 
 def _equivalence_contributions(
@@ -273,8 +303,8 @@ def margin_loss_gradients(
     )
     node_grad = np.zeros_like(table.node_matrix)
     rel_grad = np.zeros_like(table.relation_matrix)
-    np.add.at(node_grad, node_idx, node_rows)
-    np.add.at(rel_grad, rel_idx, rel_rows)
+    _scatter_rows(node_grad, node_idx, node_rows)
+    _accumulate_rows(rel_grad, rel_idx, rel_rows)
     return loss, node_grad, rel_grad
 
 
@@ -296,8 +326,8 @@ def equivalence_loss_gradients(
     )
     node_grad = np.zeros_like(table.node_matrix)
     rel_grad = np.zeros_like(table.relation_matrix)
-    np.add.at(node_grad, node_idx, node_rows)
-    np.add.at(rel_grad, rel_idx, rel_rows)
+    _scatter_rows(node_grad, node_idx, node_rows)
+    _accumulate_rows(rel_grad, rel_idx, rel_rows)
     return loss, node_grad, rel_grad
 
 
@@ -316,7 +346,7 @@ class TrainResult:
 
 
 def save_loss_trace(trace: Iterable[EpochLoss], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,l1,l2,total\n")
         for e in trace:
             fh.write("%d,%.17g,%.17g,%.17g\n" % (e.epoch, e.l1, e.l2, e.total))
@@ -340,6 +370,19 @@ def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
     return tuple(out)
+
+
+def _weighted_step(ranking_rows: np.ndarray, equivalence_rows: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """``-learning_rate * (weight * rows)`` for both row blocks, stacked.
+
+    Scaled in place, in that order: ``(-learning_rate * weight) * rows``
+    would round differently.
+    """
+    rows = np.concatenate([ranking_rows, equivalence_rows])
+    rows[: len(ranking_rows)] *= config.ranking_weight
+    rows[len(ranking_rows) :] *= config.equivalence_weight
+    rows *= -config.learning_rate
+    return rows
 
 
 def train(store: TripletStore, config: TrainConfig) -> TrainResult:
@@ -390,15 +433,11 @@ def train(store: TripletStore, config: TrainConfig) -> TrainResult:
             l2_sum += l2
 
             node_idx = np.concatenate([n_idx1, n_idx2])
-            node_rows = np.concatenate(
-                [config.ranking_weight * n_rows1, config.equivalence_weight * n_rows2]
-            )
+            node_rows = _weighted_step(n_rows1, n_rows2, config)
             rel_idx = np.concatenate([r_idx1, r_idx2])
-            rel_rows = np.concatenate(
-                [config.ranking_weight * r_rows1, config.equivalence_weight * r_rows2]
-            )
-            np.add.at(node_m, node_idx, -config.learning_rate * node_rows)
-            np.add.at(rel_m, rel_idx, -config.learning_rate * rel_rows)
+            rel_rows = _weighted_step(r_rows1, r_rows2, config)
+            _scatter_rows(node_m, node_idx, node_rows)
+            _accumulate_rows(rel_m, rel_idx, rel_rows)
 
             if config.normalize_entities and len(node_idx):
                 touched = np.unique(node_idx)

@@ -500,6 +500,45 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch"):
             train(toy_store, config)
 
+    @pytest.mark.parametrize("negatives", [1, 2])
+    def test_every_batch_renormalizes_its_rows_and_feeds_the_trace(self, toy_store, monkeypatch, negatives):
+        config = TrainConfig(dimension=8, epochs=3, batch_size=3, negatives_per_positive=negatives, seed=4)
+        batches = []
+        sample = NegativeSampler.sample
+
+        def recording_sample(sampler, positives, rng):
+            drawn = sample(sampler, positives, rng)
+            table = sampler._table
+            batches.append((positives, drawn, table.node_matrix.copy(), table.relation_matrix.copy()))
+            return drawn
+
+        monkeypatch.setattr(NegativeSampler, "sample", recording_sample)
+        result = train(toy_store, config)
+        final = result.table
+        annotations = toy_store.annotation_map(Split.TRAIN)
+        per_epoch = math.ceil(len(toy_store.triplets_in(Split.TRAIN)) / config.batch_size)
+        assert len(batches) == per_epoch * config.epochs
+        afters = [node_m for _, _, node_m, _ in batches[1:]] + [final.node_matrix]
+        for epoch, trace in enumerate(result.trace):
+            l1 = l2 = 0.0
+            for (positives, negatives, node_m, rel_m), after in zip(
+                batches[epoch * per_epoch : (epoch + 1) * per_epoch],
+                afters[epoch * per_epoch : (epoch + 1) * per_epoch],
+            ):
+                before = EmbeddingTable(final.dimension, final.node_ids, final.relation_ids, node_m, rel_m)
+                l1 += margin_ranking_loss(before, positives, negatives, config.margin)
+                batch_nodes = {final.node_ids[row] for row in positives[:, ::2].ravel()}
+                constrained = {s: annotations[s] for s in batch_nodes & annotations.keys()}
+                l2 += equivalence_loss(before, constrained)
+                reachable = {*positives[:, ::2].ravel(), *negatives[:, ::2].ravel()}
+                reachable |= {final.node_index(s) for sememes in constrained.values() for s in sememes}
+                changed = np.flatnonzero(np.any(after != node_m, axis=1))
+                assert len(changed) and set(changed) <= reachable
+                np.testing.assert_allclose(np.linalg.norm(after[changed], axis=1), 1.0, rtol=0, atol=1e-12)
+            # Same per-batch arithmetic, summed in the same order: exact.
+            assert (trace.l1, trace.l2) == (l1, l2)
+            assert trace.total == config.ranking_weight * l1 + config.equivalence_weight * l2
+
     def test_zero_epochs_returns_init_table(self, toy_store):
         config = TrainConfig(dimension=8, epochs=0, seed=3)
         result = train(toy_store, config)

@@ -1,0 +1,237 @@
+"""The trainer's row updates against ``np.add.at``.
+
+``train`` applies each batch's sparse gradient rows with ``_scatter_rows``
+(node matrix) and ``_accumulate_rows`` (relation matrix), and scales the
+rows in place.  ``_reference_train`` below is the earlier loop, which
+scaled into fresh arrays and applied every update with ``np.add.at``.
+Every element receives the same additions in the same order, so the
+matrices and traces must be equal bit for bit.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semepred import Split, SynthConfig, TrainConfig, generate, train
+from semepred.graph import EQUIVALENCE_RELATION
+from semepred.kge import (
+    EpochLoss,
+    NegativeSampler,
+    _accumulate_rows,
+    _annotation_groups,
+    _equivalence_contributions,
+    _groups_touching,
+    _margin_contributions,
+    _scatter_rows,
+    equivalence_loss_gradients,
+    init_embeddings,
+    margin_loss_gradients,
+)
+
+KERNELS = (_scatter_rows, _accumulate_rows)
+
+
+def _reference_train(store, config):
+    ordered = sorted(store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key)
+    table = init_embeddings(store, config)
+    node_m = table.node_matrix
+    rel_m = table.relation_matrix
+    positives = table.triplet_rows(ordered)
+    rng = random.Random(config.seed)
+    sampler = NegativeSampler(
+        table,
+        positives,
+        corrupt_heads=config.corrupt_heads,
+        type_consistent=config.type_consistent_negatives,
+        max_resample=config.max_resample,
+    )
+    groups = _annotation_groups(table, store.annotation_map(Split.TRAIN))
+    eq_rel_row = table.relation_index(EQUIVALENCE_RELATION)
+    order = list(range(len(positives)))
+    trace = []
+    for epoch in range(1, config.epochs + 1):
+        rng.shuffle(order)
+        l1_sum = 0.0
+        l2_sum = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = positives[order[start : start + config.batch_size]]
+            expanded = np.repeat(batch, config.negatives_per_positive, axis=0)
+            l1, n_idx1, n_rows1, r_idx1, r_rows1 = _margin_contributions(
+                node_m, rel_m, expanded, sampler.sample(expanded, rng), config.margin
+            )
+            endpoints = batch[:, ::2] if config.equivalence_weight > 0 else batch[:0]
+            l2, n_idx2, n_rows2, r_idx2, r_rows2 = _equivalence_contributions(
+                node_m, rel_m, eq_rel_row, *_groups_touching(groups, endpoints)
+            )
+            l1_sum += l1
+            l2_sum += l2
+            node_idx = np.concatenate([n_idx1, n_idx2])
+            node_rows = np.concatenate(
+                [config.ranking_weight * n_rows1, config.equivalence_weight * n_rows2]
+            )
+            rel_idx = np.concatenate([r_idx1, r_idx2])
+            rel_rows = np.concatenate(
+                [config.ranking_weight * r_rows1, config.equivalence_weight * r_rows2]
+            )
+            np.add.at(node_m, node_idx, -config.learning_rate * node_rows)
+            np.add.at(rel_m, rel_idx, -config.learning_rate * rel_rows)
+            if config.normalize_entities and len(node_idx):
+                touched = np.unique(node_idx)
+                norms = np.linalg.norm(node_m[touched], axis=1, keepdims=True)
+                norms[norms == 0.0] = 1.0
+                node_m[touched] = node_m[touched] / norms
+        total = config.ranking_weight * l1_sum + config.equivalence_weight * l2_sum
+        trace.append(EpochLoss(epoch, l1_sum, l2_sum, total))
+    return table, tuple(trace)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def c5_store():
+    """A small store of the C5 shape: singleton gold sets, many twins."""
+    config = SynthConfig(
+        n_synsets=60,
+        n_sememes=12,
+        min_sememes_per_synset=1,
+        max_sememes_per_synset=1,
+        twin_fraction=0.9,
+        n_antonym_pairs=3,
+        n_hypernym_edges=4,
+        vector_dim=8,
+        seed=5,
+    )
+    store, _, _ = generate(config)
+    return store.split_dataset((0.8, 0.1, 0.1), seed=5)
+
+
+BASE = TrainConfig(dimension=64, epochs=3, batch_size=16, seed=5)
+GRID = {
+    "d64": {},
+    "d1": {"dimension": 1},
+    "d800": {"dimension": 800},
+    "heads-typed": {"corrupt_heads": True, "type_consistent_negatives": True},
+    "two-negatives": {"negatives_per_positive": 2},
+    "no-equivalence": {"equivalence_weight": 0.0},
+    "no-ranking": {"ranking_weight": 0.0},
+    "unnormalized": {"normalize_entities": False},
+    "batch-1": {"batch_size": 1, "epochs": 1},
+    "one-batch": {"batch_size": 100_000},
+}
+
+
+@pytest.mark.parametrize("store_name", ["toy", "c5"])
+@pytest.mark.parametrize("overrides", GRID.values(), ids=GRID.keys())
+def test_train_is_bit_identical_to_the_add_at_loop(store_name, overrides, toy_store, c5_store):
+    store = toy_store if store_name == "toy" else c5_store
+    config = replace(BASE, **overrides)
+    result = train(store, config)
+    table, trace = _reference_train(store, config)
+    np.testing.assert_array_equal(_bits(result.table.node_matrix), _bits(table.node_matrix))
+    np.testing.assert_array_equal(_bits(result.table.relation_matrix), _bits(table.relation_matrix))
+    assert [tuple(map(float.hex, (e.l1, e.l2, e.total))) for e in result.trace] == [
+        tuple(map(float.hex, (e.l1, e.l2, e.total))) for e in trace
+    ]
+
+
+def test_gradients_are_bit_identical_to_add_at(c5_store):
+    table = init_embeddings(c5_store, replace(BASE, dimension=8))
+    positives = table.triplet_rows(sorted(c5_store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key))
+    negatives = NegativeSampler(table, positives).sample(positives, random.Random(3))
+    _, node_idx, node_rows, rel_idx, rel_rows = _margin_contributions(
+        table.node_matrix, table.relation_matrix, positives, negatives, 4.0
+    )
+    node_ref = np.zeros_like(table.node_matrix)
+    rel_ref = np.zeros_like(table.relation_matrix)
+    np.add.at(node_ref, node_idx, node_rows)
+    np.add.at(rel_ref, rel_idx, rel_rows)
+    _, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, 4.0)
+    np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
+    np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
+
+    eq_row = table.relation_index(EQUIVALENCE_RELATION)
+    annotations = c5_store.annotation_map(Split.TRAIN)
+    _, node_idx, node_rows, rel_idx, rel_rows = _equivalence_contributions(
+        table.node_matrix, table.relation_matrix, eq_row, *_annotation_groups(table, annotations)
+    )
+    node_ref = np.zeros_like(table.node_matrix)
+    rel_ref = np.zeros_like(table.relation_matrix)
+    np.add.at(node_ref, node_idx, node_rows)
+    np.add.at(rel_ref, rel_idx, rel_rows)
+    _, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+    np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
+    np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
+
+
+def _assert_kernel_matches_add_at(kernel, m, idx, vals):
+    expected = m.copy()
+    np.add.at(expected, idx, vals)
+    got = m.copy()
+    kernel(got, idx, vals)
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def _spread(rng: np.random.Generator, shape) -> np.ndarray:
+    """Signed values from 1e-8 to 1e8, so the summation order shows in
+    the rounding."""
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestKernels:
+    def test_empty_update_leaves_the_matrix(self, kernel):
+        m = np.arange(12.0).reshape(4, 3)
+        _assert_kernel_matches_add_at(kernel, m, np.array([], dtype=np.intp), np.empty((0, 3)))
+
+    def test_one_dimension(self, kernel):
+        rng = np.random.default_rng(1)
+        _assert_kernel_matches_add_at(
+            kernel, _spread(rng, (5, 1)), rng.integers(0, 5, 400), _spread(rng, (400, 1))
+        )
+
+    def test_one_row_hit_thousands_of_times(self, kernel):
+        rng = np.random.default_rng(2)
+        idx = np.concatenate([np.full(2_500, 3), rng.integers(0, 6, 50)])
+        rng.shuffle(idx)
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (6, 4)), idx, _spread(rng, (len(idx), 4)))
+
+    def test_every_row_hit_once(self, kernel):
+        rng = np.random.default_rng(3)
+        idx = rng.permutation(50)
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (50, 7)), idx, _spread(rng, (50, 7)))
+
+    def test_signed_zeros(self, kernel):
+        m = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]])
+        idx = np.array([0, 1, 0, 0, 1])
+        vals = np.array(
+            [[-0.0, -0.0, 0.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+        )
+        _assert_kernel_matches_add_at(kernel, m, idx, vals)
+
+    def test_magnitudes_within_one_row(self, kernel):
+        rng = np.random.default_rng(4)
+        idx = np.zeros(300, dtype=np.intp)
+        vals = _spread(rng, (300, 5))
+        vals[::7] = 1e8
+        vals[1::7] = -1e8
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (2, 5)), idx, vals)
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 5),
+        st.lists(st.integers(0, 7), max_size=200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_add_at(self, kernel, rows, dim, raw_idx, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array([i % rows for i in raw_idx], dtype=np.intp)
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (rows, dim)), idx, _spread(rng, (len(idx), dim)))
