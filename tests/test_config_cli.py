@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from semepred import ConfigError, Split
+from semepred import ConfigError, Pos, Split
 from semepred.cli import main
 from semepred.config import (
     SCHEMA,
@@ -21,7 +21,7 @@ from semepred.config import (
     train_config,
 )
 from semepred.evaluation import BucketQuantity
-from semepred.graph import load_triplets
+from semepred.graph import format_stats, load_triplets, save_pos_tags, save_triplets
 
 
 @pytest.fixture(autouse=True)
@@ -352,3 +352,88 @@ class TestPipelineSmoke:
         assert len(store.triplets_in(Split.TRAIN)) == len(store)
         assert store.triplets_in(Split.VALID) == ()
         assert store.triplets_in(Split.TEST) == ()
+
+
+# Two filter rounds and more at min_node_degree=2, min_relation_count=2:
+# round 1 drops syn:n5, sem:d and the POS-only syn:n9 by degree and
+# hypernym/part by count, which leaves syn:n4 with one triplet; round 2
+# drops syn:n4, which leaves `also` with one triplet; round 3 drops it.
+_MIXED_POS_TRIPLETS = """\
+syn:n1\thave_sememe\tsem:a
+syn:n1\thave_sememe\tsem:b
+syn:n2\thave_sememe\tsem:a
+syn:n2\thave_sememe\tsem:b
+syn:n3\thave_sememe\tsem:a
+syn:n3\thave_sememe\tsem:c
+syn:v1\thave_sememe\tsem:b
+syn:v1\thave_sememe\tsem:c
+syn:j1\thave_sememe\tsem:a
+syn:j1\thave_sememe\tsem:c
+syn:n1\tantonym\tsyn:n2
+syn:n2\tantonym\tsyn:n1
+syn:n1\talso\tsyn:n2
+syn:n5\thypernym\tsyn:n4
+syn:n4\thave_sememe\tsem:d
+syn:n4\talso\tsyn:n3
+sem:a\tpart\tsem:b
+"""
+_MIXED_POS_TAGS = """\
+syn:n1\tnoun
+syn:n2\tnoun
+syn:n3\tnoun
+syn:n4\tnoun
+syn:n5\tnoun
+syn:n9\tnoun
+syn:v1\tverb
+syn:j1\tadj
+sem:a\tunknown
+"""
+
+
+class TestPrepareFilters:
+    def _raw(self, tmp_path):
+        triplets, pos = tmp_path / "raw.tsv", tmp_path / "raw_pos.tsv"
+        triplets.write_text(_MIXED_POS_TRIPLETS)
+        pos.write_text(_MIXED_POS_TAGS)
+        return triplets, pos
+
+    def test_cli_filters_match_the_in_process_steps(self, tmp_path):
+        triplets, pos = self._raw(tmp_path)
+        out = tmp_path / "prep"
+        assert main([
+            "prepare", "--triplets", str(triplets), "--pos", str(pos), "--out", str(out),
+            "--seed", "3",
+            "--set", "prepare.min_node_degree=2",
+            "--set", "prepare.min_relation_count=2",
+            "--set", "prepare.keep_pos=noun,verb",
+            "--set", "prepare.ratios=0.5,0.25,0.25",
+        ]) == 0
+
+        store = load_triplets(triplets, pos).filter_low_frequency(2, 2)
+        store = store.split_dataset((0.5, 0.25, 0.25), 3).filter_by_pos([Pos.NOUN, Pos.VERB])
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        save_triplets(store, ref / "dataset.tsv", include_split=True)
+        save_pos_tags(store.pos_tags(), ref / "pos.tsv")
+        (ref / "summary.txt").write_text(format_stats(store.stats()))
+        for name in ("dataset.tsv", "pos.tsv", "summary.txt"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+        names = {n.name for n in store.nodes}
+        assert names == {"syn:n1", "syn:n2", "syn:n3", "syn:v1", "sem:a", "sem:b", "sem:c"}
+        assert {r.name for r in store.relations} == {"have_sememe", "antonym"}
+        assert (out / "pos.tsv").read_text().splitlines() == [
+            "sem:a\tunknown", "syn:n1\tnoun", "syn:n2\tnoun", "syn:n3\tnoun", "syn:v1\tverb",
+        ]
+        assert (out / "summary.txt").read_text().splitlines()[-3:] == [
+            "split[train]\t6", "split[valid]\t2", "split[test]\t2",
+        ]
+
+    def test_unknown_keep_pos_tag_exits_one_naming_the_setting(self, tmp_path, capsys):
+        triplets, pos = self._raw(tmp_path)
+        code = main([
+            "prepare", "--triplets", str(triplets), "--pos", str(pos),
+            "--out", str(tmp_path / "prep"), "--set", "prepare.keep_pos=noun,bogus",
+        ])
+        assert code == 1
+        assert "prepare.keep_pos" in capsys.readouterr().err
