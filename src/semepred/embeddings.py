@@ -48,7 +48,7 @@ def read_vector_file(
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith("D=") or not header[2:].isdigit():
+        if not header.startswith("D=") or not header[2:].isdecimal():
             raise ParseError(f"{path}:1: expected a D=<dim> header, got {header!r}")
         dimension = int(header[2:])
         if dimension <= 0:

@@ -222,52 +222,42 @@ class TripletStore:
         pos_tags: Mapping[NodeId, Pos] | None = None,
         split: Mapping[Triplet, Split] | None = None,
     ) -> None:
-        seen: dict[Triplet, None] = {}
-        dropped = 0
-        for t in triplets:
-            if t in seen:
-                dropped += 1
-            else:
-                seen[t] = None
+        given = list(triplets)
+        split = split or {}
+        # Three tables, each the one source of its fact: triplet -> split in
+        # first-seen order, node -> degree in name order (0 for a node known
+        # only from ``pos_tags``), relation -> triplet count in sort_key order.
+        self._split: dict[Triplet, Split] = {t: split.get(t, Split.TRAIN) for t in given}
+        dropped = len(given) - len(self._split)
         if dropped:
             logger.info("dropped %d duplicate triplets", dropped)
-        self._triplets: tuple[Triplet, ...] = tuple(seen)
-
-        split = split or {}
-        self._split: dict[Triplet, Split] = {t: split.get(t, Split.TRAIN) for t in self._triplets}
+        self._triplets: tuple[Triplet, ...] = tuple(self._split)
         self._pos: dict[NodeId, Pos] = dict(pos_tags or {})
 
-        nodes: dict[NodeId, None] = {}
-        for t in self._triplets:
-            nodes.setdefault(t.head)
-            nodes.setdefault(t.tail)
-        for n in self._pos:
-            nodes.setdefault(n)
-        self._nodes: tuple[NodeId, ...] = tuple(sorted(nodes, key=lambda n: n.name))
-        self._node_set = frozenset(self._nodes)
+        degree = Counter(t.head for t in self._triplets)
+        degree.update(t.tail for t in self._triplets)
+        self._degree: dict[NodeId, int] = {
+            n: degree[n] for n in sorted(degree.keys() | self._pos.keys(), key=lambda n: n.name)
+        }
+        self._nodes: tuple[NodeId, ...] = tuple(self._degree)
 
-        have_names = {t.relation.name for t in self._triplets if t.relation.kind is RelationKind.HAVE_SEMEME}
+        count = Counter(t.relation for t in self._triplets)
+        self._relation_count: dict[RelationId, int] = {
+            r: count[r] for r in sorted(count, key=lambda r: r.sort_key)
+        }
+        self._relations: tuple[RelationId, ...] = tuple(self._relation_count)
+
+        have_names = [r.name for r in self._relations if r.kind is RelationKind.HAVE_SEMEME]
         if len(have_names) > 1:
             raise ValidationError(
-                f"multiple synset-sememe relation names found: {sorted(have_names)}; exactly one is allowed"
+                f"multiple synset-sememe relation names found: {have_names}; exactly one is allowed"
             )
-
-        rels: dict[RelationId, None] = {}
-        for t in self._triplets:
-            rels.setdefault(t.relation)
-        self._relations: tuple[RelationId, ...] = tuple(sorted(rels, key=lambda r: r.sort_key))
-
-        self._degree: Counter[NodeId] = Counter()
-        for t in self._triplets:
-            self._degree[t.head] += 1
-            self._degree[t.tail] += 1
 
         self._check_split_soundness()
 
     def _check_split_soundness(self) -> None:
         synset_split: dict[NodeId, Split] = {}
-        for t in self._triplets:
-            s = self._split[t]
+        for t, s in self._split.items():
             if t.relation.kind is not RelationKind.HAVE_SEMEME:
                 if s is not Split.TRAIN:
                     raise ValidationError(
@@ -327,7 +317,7 @@ class TripletStore:
             raise UnknownIdError(f"triplet not in store: {triplet}") from exc
 
     def pos_of(self, node: NodeId) -> Pos:
-        if node not in self._node_set:
+        if node not in self._degree:
             raise UnknownIdError(f"unknown node {node}")
         return self._pos.get(node, Pos.UNKNOWN)
 
@@ -336,19 +326,19 @@ class TripletStore:
 
     def degree(self, node: NodeId) -> int:
         """Number of triplets in which ``node`` appears as head or tail."""
-        if node not in self._node_set:
+        if node not in self._degree:
             raise UnknownIdError(f"unknown node {node}")
         return self._degree[node]
 
     def triplets_in(self, split: Split) -> tuple[Triplet, ...]:
-        return tuple(t for t in self._triplets if self._split[t] is split)
+        return tuple(t for t, s in self._split.items() if s is split)
 
     def annotation_map(self, split: Split) -> dict[NodeId, frozenset[NodeId]]:
         """Per-synset gold sememe sets derived from the split's triplets,
         keyed in sorted synset order."""
         gold: dict[NodeId, set[NodeId]] = {}
-        for t in self._triplets:
-            if t.relation.kind is RelationKind.HAVE_SEMEME and self._split[t] is split:
+        for t, s in self._split.items():
+            if t.relation.kind is RelationKind.HAVE_SEMEME and s is split:
                 gold.setdefault(t.head, set()).add(t.tail)
         return {b: frozenset(gold[b]) for b in sorted(gold, key=lambda n: n.name)}
 
@@ -362,8 +352,10 @@ class TripletStore:
 
     def stats(self) -> StoreStats:
         rel_kinds = Counter(r.kind for r in self._relations)
-        trip_kinds = Counter(t.relation.kind for t in self._triplets)
-        by_split = Counter(self._split[t] for t in self._triplets)
+        trip_kinds: Counter[RelationKind] = Counter()
+        for r, n in self._relation_count.items():
+            trip_kinds[r.kind] += n
+        by_split = Counter(self._split.values())
         return StoreStats(
             n_triplets=len(self._triplets),
             n_synsets=len(self.synsets),
@@ -375,15 +367,10 @@ class TripletStore:
 
     # -- transformations ----------------------------------------------
 
-    def _substore(self, keep: Iterable[Triplet], keep_nodes: Iterable[NodeId] | None = None) -> "TripletStore":
-        kept = tuple(keep)
-        if keep_nodes is None:
-            node_set = {t.head for t in kept} | {t.tail for t in kept}
-        else:
-            node_set = set(keep_nodes)
+    def _substore(self, keep: Iterable[Triplet], keep_nodes: Iterable[NodeId]) -> "TripletStore":
+        node_set = set(keep_nodes)
         pos = {n: p for n, p in self._pos.items() if n in node_set}
-        split = {t: self._split[t] for t in kept}
-        return TripletStore(kept, pos, split)
+        return TripletStore(keep, pos, self._split)
 
     def filter_low_frequency(self, min_node_degree: int, min_relation_count: int) -> "TripletStore":
         """Iteratively drop nodes below ``min_node_degree`` and relations
@@ -392,28 +379,18 @@ class TripletStore:
         """
         if min_node_degree < 0 or min_relation_count < 0:
             raise ConfigError("frequency thresholds must be >= 0")
-        triplets = list(self._triplets)
-        nodes = set(self._nodes)
+        store = self
         while True:
-            deg: Counter[NodeId] = Counter()
-            rel_count: Counter[RelationId] = Counter()
-            for t in triplets:
-                deg[t.head] += 1
-                deg[t.tail] += 1
-                rel_count[t.relation] += 1
-            bad_nodes = {n for n in nodes if deg[n] < min_node_degree}
-            bad_rels = {r for r in rel_count if rel_count[r] < min_relation_count}
+            bad_nodes = {n for n, d in store._degree.items() if d < min_node_degree}
+            bad_rels = {r for r, c in store._relation_count.items() if c < min_relation_count}
             if not bad_nodes and not bad_rels:
-                break
-            nodes -= bad_nodes
-            triplets = [
+                return store
+            kept = [
                 t
-                for t in triplets
-                if t.head in nodes and t.tail in nodes and t.relation not in bad_rels
+                for t in store._triplets
+                if t.head not in bad_nodes and t.tail not in bad_nodes and t.relation not in bad_rels
             ]
-        if len(triplets) == len(self._triplets) and len(nodes) == len(self._nodes):
-            return self
-        return self._substore(triplets, nodes)
+            store = store._substore(kept, (n for n in store._nodes if n not in bad_nodes))
 
     def split_dataset(self, ratios: tuple[float, float, float], seed: int) -> "TripletStore":
         """Partition annotated synsets by ``ratios``; their have_sememe

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,17 @@ class TestParsing:
     def test_every_default_round_trips_through_format_and_parse(self):
         for key, (_, default) in SCHEMA.items():
             assert parse_value(key, format_value(key, default)) == default
+
+    def test_readme_lists_every_setting_with_its_default(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 3:
+                rows[cells[0].strip("`")] = cells[1]
+        for key, (_, default) in SCHEMA.items():
+            assert key in rows, key
+            assert rows[key] == format_value(key, default), key
 
     def test_env_names(self):
         assert env_name("seed") == "SEMEPRED_SEED"

@@ -120,6 +120,13 @@ class TestEmbeddingFile:
         with pytest.raises(ParseError, match=r"embeddings\.tsv:3: non-finite"):
             EmbeddingTable.load(path)
 
+    @pytest.mark.parametrize("header", ["D=\u00b2", "D=1\u00b2", "D=\u2460"])
+    def test_non_decimal_digit_header_is_a_parse_error(self, tmp_path, header):
+        # str.isdigit() accepts these, but int() does not parse them.
+        path = tmp_path / "embeddings.tsv"
+        path.write_text(f"{header}\nsyn:a\t1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"embeddings\.tsv:1: expected a D=<dim> header"):
+            EmbeddingTable.load(path)
 
     @pytest.mark.parametrize(
         ("row_id", "message"),

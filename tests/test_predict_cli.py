@@ -253,3 +253,14 @@ class TestZeroWeight:
                        sets=["fusion.translation_weight=0"])
         n = len(workspace["targets"])
         _check_summary(out, n, 0, fused=n)
+
+
+class TestBadVectorFile:
+    def test_non_decimal_digit_header_exits_two_naming_the_line(self, workspace, capsys):
+        vectors = workspace["root"] / "superscript_vectors.tsv"
+        vectors.write_text("D=\u00b2\n", encoding="utf-8")
+        argv = ["predict", "--data", str(workspace["data"]), "--pos", str(workspace["pos"]),
+                "--vectors", str(vectors), "--split", "test",
+                "--out", str(workspace["root"] / "superscript")]
+        assert main(argv) == 2
+        assert f"error: {vectors}:1: expected a D=<dim> header" in capsys.readouterr().err

@@ -68,6 +68,14 @@ class TestVectorStore:
         assert store.dimension == 300
         assert len(store) == 0
 
+    @pytest.mark.parametrize("header", ["D=\u00b2", "D=1\u00b2", "D=\u2460"])
+    def test_non_decimal_digit_header_is_a_parse_error(self, tmp_path, header):
+        # str.isdigit() accepts these, but int() does not parse them.
+        path = tmp_path / "vectors.tsv"
+        path.write_text(f"{header}\nsyn:a\t1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"vectors\.tsv:1: expected a D=<dim> header"):
+            SemanticVectorStore.load(path)
+
     def test_zero_vector_rejected_listing_the_id(self):
         with pytest.raises(ValidationError, match="syn:z"):
             _store({"ok": [1.0, 0.0], "z": [0.0, 0.0]})
