@@ -3,9 +3,12 @@
 ``train`` applies each batch's sparse gradient rows with ``_scatter_rows``
 (node matrix) and ``_accumulate_rows`` (relation matrix), and scales the
 rows in place.  ``_reference_train`` below is the earlier loop, which
-scaled into fresh arrays and applied every update with ``np.add.at``.
-Every element receives the same additions in the same order, so the
-matrices and traces must be equal bit for bit.
+built each batch's rows with ``_reference_margin_contributions`` and
+``_reference_equivalence_contributions``, scaled them into fresh arrays
+and applied every update with ``np.add.at``.  These references are kept
+here, apart from ``kge``, so a change to the trainer cannot change both
+sides of the comparison.  Every element receives the same additions in
+the same order, so the matrices and traces must be equal bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from semepred.kge import (
     NegativeSampler,
     _accumulate_rows,
     _annotation_groups,
-    _equivalence_contributions,
     _groups_touching,
-    _margin_contributions,
     _scatter_rows,
     equivalence_loss_gradients,
     init_embeddings,
@@ -35,6 +36,46 @@ from semepred.kge import (
 )
 
 KERNELS = (_scatter_rows, _accumulate_rows)
+
+
+def _reference_margin_contributions(node_m, rel_m, positives, negatives, margin):
+    """Hinge loss plus sparse gradient rows for aligned pos/neg row batches:
+    (loss, node_indices, node_rows, relation_indices, relation_rows)."""
+    pos_h, pos_r, pos_t = positives.T
+    neg_h, neg_r, neg_t = negatives.T
+    diff_pos = node_m[pos_h] + rel_m[pos_r] - node_m[pos_t]
+    diff_neg = node_m[neg_h] + rel_m[neg_r] - node_m[neg_t]
+    d_pos = np.einsum("ij,ij->i", diff_pos, diff_pos)
+    d_neg = np.einsum("ij,ij->i", diff_neg, diff_neg)
+    terms = margin + d_pos - d_neg
+    active = terms > 0.0
+    loss = float(terms[active].sum())
+    two_pos = 2.0 * diff_pos[active]
+    two_neg = 2.0 * diff_neg[active]
+    node_idx = np.concatenate([pos_h[active], pos_t[active], neg_h[active], neg_t[active]])
+    node_rows = np.concatenate([two_pos, -two_pos, -two_neg, two_neg])
+    rel_idx = np.concatenate([pos_r[active], neg_r[active]])
+    rel_rows = np.concatenate([two_pos, -two_neg])
+    return loss, node_idx, node_rows, rel_idx, rel_rows
+
+
+def _reference_equivalence_contributions(node_m, rel_m, eq_rel_row, synset_rows, sememe_flat, group_offsets):
+    """Equivalence loss plus sparse gradient rows for grouped synsets, in
+    the layout of ``_reference_margin_contributions``."""
+    dim = node_m.shape[1]
+    if len(synset_rows) == 0:
+        empty_idx = np.array([], dtype=np.intp)
+        empty_rows = np.empty((0, dim))
+        return 0.0, empty_idx, empty_rows, empty_idx.copy(), empty_rows.copy()
+    sums = np.add.reduceat(node_m[sememe_flat], group_offsets, axis=0)
+    residual = node_m[synset_rows] + rel_m[eq_rel_row] - sums
+    loss = float(np.einsum("ij,ij->i", residual, residual).sum())
+    counts = np.diff(np.append(group_offsets, len(sememe_flat)))
+    two_res = 2.0 * residual
+    node_idx = np.concatenate([synset_rows, sememe_flat])
+    node_rows = np.concatenate([two_res, -np.repeat(two_res, counts, axis=0)])
+    rel_idx = np.full(len(synset_rows), eq_rel_row, dtype=np.intp)
+    return loss, node_idx, node_rows, rel_idx, two_res.copy()
 
 
 def _reference_train(store, config):
@@ -62,11 +103,11 @@ def _reference_train(store, config):
         for start in range(0, len(order), config.batch_size):
             batch = positives[order[start : start + config.batch_size]]
             expanded = np.repeat(batch, config.negatives_per_positive, axis=0)
-            l1, n_idx1, n_rows1, r_idx1, r_rows1 = _margin_contributions(
+            l1, n_idx1, n_rows1, r_idx1, r_rows1 = _reference_margin_contributions(
                 node_m, rel_m, expanded, sampler.sample(expanded, rng), config.margin
             )
             endpoints = batch[:, ::2] if config.equivalence_weight > 0 else batch[:0]
-            l2, n_idx2, n_rows2, r_idx2, r_rows2 = _equivalence_contributions(
+            l2, n_idx2, n_rows2, r_idx2, r_rows2 = _reference_equivalence_contributions(
                 node_m, rel_m, eq_rel_row, *_groups_touching(groups, endpoints)
             )
             l1_sum += l1
@@ -113,6 +154,23 @@ def c5_store():
     return store.split_dataset((0.8, 0.1, 0.1), seed=5)
 
 
+@pytest.fixture(scope="module")
+def multi_store():
+    """Gold sets of 1 to 6 sememes, so equivalence groups vary in size."""
+    config = SynthConfig(
+        n_synsets=80,
+        n_sememes=16,
+        min_sememes_per_synset=1,
+        max_sememes_per_synset=6,
+        n_antonym_pairs=3,
+        n_hypernym_edges=6,
+        vector_dim=8,
+        seed=6,
+    )
+    store, _, _ = generate(config)
+    return store.split_dataset((0.8, 0.1, 0.1), seed=6)
+
+
 BASE = TrainConfig(dimension=64, epochs=3, batch_size=16, seed=5)
 GRID = {
     "d64": {},
@@ -124,14 +182,15 @@ GRID = {
     "no-ranking": {"ranking_weight": 0.0},
     "unnormalized": {"normalize_entities": False},
     "batch-1": {"batch_size": 1, "epochs": 1},
+    "batch-512": {"batch_size": 512},
     "one-batch": {"batch_size": 100_000},
 }
 
 
-@pytest.mark.parametrize("store_name", ["toy", "c5"])
+@pytest.mark.parametrize("store_name", ["toy", "c5", "multi"])
 @pytest.mark.parametrize("overrides", GRID.values(), ids=GRID.keys())
-def test_train_is_bit_identical_to_the_add_at_loop(store_name, overrides, toy_store, c5_store):
-    store = toy_store if store_name == "toy" else c5_store
+def test_train_is_bit_identical_to_the_add_at_loop(store_name, overrides, request):
+    store = request.getfixturevalue(f"{store_name}_store")
     config = replace(BASE, **overrides)
     result = train(store, config)
     table, trace = _reference_train(store, config)
@@ -146,7 +205,7 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
     table = init_embeddings(c5_store, replace(BASE, dimension=8))
     positives = table.triplet_rows(sorted(c5_store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key))
     negatives = NegativeSampler(table, positives).sample(positives, random.Random(3))
-    _, node_idx, node_rows, rel_idx, rel_rows = _margin_contributions(
+    _, node_idx, node_rows, rel_idx, rel_rows = _reference_margin_contributions(
         table.node_matrix, table.relation_matrix, positives, negatives, 4.0
     )
     node_ref = np.zeros_like(table.node_matrix)
@@ -159,7 +218,7 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
 
     eq_row = table.relation_index(EQUIVALENCE_RELATION)
     annotations = c5_store.annotation_map(Split.TRAIN)
-    _, node_idx, node_rows, rel_idx, rel_rows = _equivalence_contributions(
+    _, node_idx, node_rows, rel_idx, rel_rows = _reference_equivalence_contributions(
         table.node_matrix, table.relation_matrix, eq_row, *_annotation_groups(table, annotations)
     )
     node_ref = np.zeros_like(table.node_matrix)
