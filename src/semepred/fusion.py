@@ -11,6 +11,7 @@ threshold.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -38,8 +39,11 @@ class FusionConfig:
     threshold: float = 0.32
 
     def __post_init__(self) -> None:
-        if self.similarity_weight < 0 or self.translation_weight < 0:
-            raise ConfigError("fusion weights must be >= 0")
+        for name in ("similarity_weight", "translation_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not math.isfinite(self.threshold):
+            raise ConfigError(f"threshold must be finite, got {self.threshold}")
         if self.similarity_weight + self.translation_weight <= 0:
             raise ConfigError("at least one fusion weight must be positive")
 

@@ -63,12 +63,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.ranking_weight < 0 or self.equivalence_weight < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and > 0, got {self.margin}")
+        for name in ("ranking_weight", "equivalence_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -114,7 +115,9 @@ class NegativeSampler:
         self._table = table
         self._n_nodes, self._n_relations = len(table.node_ids), len(table.relation_ids)
         self._bounds = np.array([self._n_nodes, self._n_relations, self._n_nodes])
-        self._train = {self._key(*row) for row in train.tolist()}
+        # A row's key (head * n_relations + relation) * n_nodes + tail is
+        # injective for rows inside the table's bounds.
+        self._train = {(h * self._n_relations + r) * self._n_nodes + t for h, r, t in train.tolist()}
         # Pools list node rows in name order, so a seeded rng draws the same
         # nodes as a draw over the store's name-sorted ids.
         all_nodes = range(self._n_nodes)
@@ -125,10 +128,6 @@ class NegativeSampler:
         self._corrupt_heads = corrupt_heads
         self._max_resample = max_resample
 
-    def _key(self, head: int, relation: int, tail: int) -> int:
-        # Injective for rows inside the table's bounds.
-        return (head * self._n_relations + relation) * self._n_nodes + tail
-
     def _describe(self, head: int, relation: int, tail: int) -> str:
         nodes, relations = self._table.node_ids, self._table.relation_ids
         return f"({nodes[head]}, {relations[relation].name}, {nodes[tail]})"
@@ -137,18 +136,20 @@ class NegativeSampler:
         """One corrupted triplet per row of ``positives``, drawn in row order."""
         if len(positives) and (positives.min() < 0 or np.any(positives.max(axis=0) >= self._bounds)):
             raise ContractError("positive triplet rows lie outside the embedding table")
+        train, pool_of, n_nodes, n_relations = self._train, self._pool_of, self._n_nodes, self._n_relations
+        corrupt_heads, random_, randrange = self._corrupt_heads, rng.random, rng.randrange
         negatives: list[tuple[int, int, int]] = []
         for head, relation, tail in positives.tolist():
-            if self._key(head, relation, tail) not in self._train:
+            if (head * n_relations + relation) * n_nodes + tail not in train:
                 raise ContractError(
                     f"positive triplet is not in the train split: {self._describe(head, relation, tail)}"
                 )
             for _ in range(self._max_resample):
-                replace_head = self._corrupt_heads and rng.random() < 0.5
-                pool = self._pool_of[head if replace_head else tail]
-                drawn = pool[rng.randrange(len(pool))]
+                replace_head = corrupt_heads and random_() < 0.5
+                pool = pool_of[head if replace_head else tail]
+                drawn = pool[randrange(len(pool))]
                 candidate = (drawn, relation, tail) if replace_head else (head, relation, drawn)
-                if self._key(*candidate) not in self._train:
+                if (candidate[0] * n_relations + relation) * n_nodes + candidate[2] not in train:
                     negatives.append(candidate)
                     break
             else:
@@ -159,92 +160,35 @@ class NegativeSampler:
         return np.array(negatives, dtype=np.intp).reshape(len(negatives), 3)
 
 
-def _margin_contributions(
-    node_m: np.ndarray,
-    rel_m: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    margin: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hinge loss plus sparse gradient rows for aligned pos/neg row batches.
-
-    Returns (loss, node_indices, node_rows, relation_indices,
-    relation_rows); rows of a repeated index are summed in order.
-    """
-    pos_h, pos_r, pos_t = positives.T
-    neg_h, neg_r, neg_t = negatives.T
-    diff_pos = node_m[pos_h] + rel_m[pos_r] - node_m[pos_t]
-    diff_neg = node_m[neg_h] + rel_m[neg_r] - node_m[neg_t]
-    d_pos = np.einsum("ij,ij->i", diff_pos, diff_pos)
-    d_neg = np.einsum("ij,ij->i", diff_neg, diff_neg)
-    terms = margin + d_pos - d_neg
-    active = terms > 0.0
-    loss = float(terms[active].sum())
-    two_pos = 2.0 * diff_pos[active]
-    two_neg = 2.0 * diff_neg[active]
-    node_idx = np.concatenate([pos_h[active], pos_t[active], neg_h[active], neg_t[active]])
-    node_rows = np.concatenate([two_pos, -two_pos, -two_neg, two_neg])
-    rel_idx = np.concatenate([pos_r[active], neg_r[active]])
-    rel_rows = np.concatenate([two_pos, -two_neg])
-    return loss, node_idx, node_rows, rel_idx, rel_rows
+# Rows updated more often than this in one call of ``_scatter_rows`` are
+# summed by a Python loop; the rest take one fancy ``+=`` pass per update.
+_HUB_UPDATES = 16
 
 
-def _scatter_rows(m: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``m[idx[i]] += vals[i]`` for every ``i``, bit-identical to ``np.add.at``.
+def _scatter_rows(m: np.ndarray, idx: np.ndarray, vals: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """``m[idx[i]] += vals[src[i]]`` for every ``i`` in index order.
 
-    Pass ``k`` adds the ``k``-th update of every row that has one, with one
-    fancy ``+=``: rows are unique within a pass, and a stable sort keeps
-    each row's updates in index order.  Cheap when no row is hit more than
-    a few dozen times.
+    Bit-identical to ``np.add.at(m, idx, vals[src])``: every row receives
+    its updates one at a time, in index order.  A stable sort groups each
+    row's updates.  A row with more than ``_HUB_UPDATES`` of them is a
+    running sum seeded with its old value; every other row takes its
+    ``k``-th update in pass ``k``, one fancy ``+=`` over rows unique within
+    the pass.  Returns the distinct rows updated, ascending.
     """
     if len(idx) == 0:
-        return
+        return idx
     order = np.argsort(idx, kind="stable")
-    _, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
+    rows, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
+    hub = counts > _HUB_UPDATES
+    for r, start, stop in zip(rows[hub].tolist(), starts[hub].tolist(), (starts + counts)[hub].tolist()):
+        acc = m[r]
+        for j in src[order[start:stop]].tolist():
+            acc += vals[j]
+    counts[hub] = 0
     for k in range(int(counts.max())):
         sel = order[starts[counts > k] + k]
-        m[idx[sel]] += vals[sel]
-
-
-def _accumulate_rows(m: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``m[idx[i]] += vals[i]`` for every ``i``, bit-identical to ``np.add.at``.
-
-    Each distinct row is one sequential running sum seeded with its old
-    value.  Cheap when a few rows take thousands of updates each.
-    """
-    for r in np.unique(idx):
-        block = np.concatenate([m[r][None], vals[idx == r]])
-        np.add.accumulate(block, axis=0, out=block)
-        m[r] = block[-1]
-
-
-def _equivalence_contributions(
-    node_m: np.ndarray,
-    rel_m: np.ndarray,
-    eq_rel_row: int,
-    synset_rows: np.ndarray,
-    sememe_flat: np.ndarray,
-    group_offsets: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Equivalence loss plus sparse gradient rows for grouped synsets.
-
-    ``sememe_flat`` concatenates each synset's sememe rows; ``group_offsets``
-    holds each group's start, as consumed by ``np.add.reduceat``.
-    """
-    dim = node_m.shape[1]
-    if len(synset_rows) == 0:
-        empty_idx = np.array([], dtype=np.intp)
-        empty_rows = np.empty((0, dim))
-        return 0.0, empty_idx, empty_rows, empty_idx.copy(), empty_rows.copy()
-    sums = np.add.reduceat(node_m[sememe_flat], group_offsets, axis=0)
-    residual = node_m[synset_rows] + rel_m[eq_rel_row] - sums
-    loss = float(np.einsum("ij,ij->i", residual, residual).sum())
-    counts = np.diff(np.append(group_offsets, len(sememe_flat)))
-    two_res = 2.0 * residual
-    node_idx = np.concatenate([synset_rows, sememe_flat])
-    node_rows = np.concatenate([two_res, -np.repeat(two_res, counts, axis=0)])
-    rel_idx = np.full(len(synset_rows), eq_rel_row, dtype=np.intp)
-    return loss, node_idx, node_rows, rel_idx, two_res.copy()
+        m[idx[sel]] += vals[src[sel]]
+    return rows
 
 
 AnnotationGroups = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -282,6 +226,80 @@ def _groups_touching(groups: AnnotationGroups, rows: np.ndarray) -> AnnotationGr
     return synset_rows[keep], flat, starts
 
 
+def _update_block(
+    node_m: np.ndarray, rel_m: np.ndarray, positives: np.ndarray, negatives: np.ndarray, margin: float,
+    groups: AnnotationGroups, eq_rel_row: int, ranking_weight: float, equivalence_weight: float, step: float,
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Hinge loss, equivalence loss and every update row of one batch.
+
+    Returns ``(l1, l2, block, node_idx, rel_idx, rel_src)``: the node
+    matrix takes ``block[i]`` at ``node_idx[i]`` and the relation matrix
+    takes ``block[rel_src[i]]`` at ``rel_idx[i]``.  With ``a`` active
+    hinge pairs, ``block`` holds ``U`` at the positive heads, ``-U`` at
+    the positive tails, ``-V`` at the negative heads and ``V`` at the
+    negative tails (``a`` rows each), then ``W`` at the grouped synsets
+    and ``-W`` repeated at each synset's sememes.  ``U`` is
+    ``((2 * (h + r - t)) * ranking_weight) * step`` over the positives, in
+    that order, ``V`` the same over the negatives, and ``W`` the same over
+    the equivalence residuals with ``equivalence_weight``.  The relations
+    take ``U``, ``-V`` and ``W`` (at ``eq_rel_row``).  With both weights
+    and ``step`` at 1.0 the rows are the loss gradients.
+    """
+    diffs = []
+    for h, r, t in (positives.T, negatives.T):
+        d = node_m[h]
+        d += rel_m[r]
+        d -= node_m[t]
+        diffs.append(d)
+    diff_pos, diff_neg = diffs
+    terms = margin + np.einsum("ij,ij->i", diff_pos, diff_pos) - np.einsum("ij,ij->i", diff_neg, diff_neg)
+    active = terms > 0.0
+    l1 = float(terms[active].sum())
+    synset_rows, sememe_flat, offsets = groups
+    a, g = int(np.count_nonzero(active)), len(synset_rows)
+    block = np.empty((4 * a + g + len(sememe_flat), node_m.shape[1]))
+    u, neg_u, neg_v, v, w, neg_w = np.split(block, [a, 2 * a, 3 * a, 4 * a, 4 * a + g])
+    # Every index below is in range: mode="clip" only spares numpy the
+    # buffered copy it makes for ``out=`` under the default mode.
+    hinged = np.flatnonzero(active)
+    np.take(diff_pos, hinged, axis=0, out=u, mode="clip")
+    np.take(diff_neg, hinged, axis=0, out=v, mode="clip")
+    l2 = 0.0
+    if g:
+        np.take(node_m, synset_rows, axis=0, out=w, mode="clip")
+        w += rel_m[eq_rel_row]
+        w -= np.add.reduceat(node_m[sememe_flat], offsets, axis=0)
+        l2 = float(np.einsum("ij,ij->i", w, w).sum())
+    for rows, weight in ((u, ranking_weight), (v, ranking_weight), (w, equivalence_weight)):
+        rows *= 2.0
+        rows *= weight
+        rows *= step
+    np.negative(u, out=neg_u)
+    np.negative(v, out=neg_v)
+    np.take(w, np.repeat(np.arange(g), np.diff(offsets, append=len(sememe_flat))), axis=0, out=neg_w, mode="clip")
+    np.negative(neg_w, out=neg_w)
+    pos, neg = positives[active], negatives[active]
+    node_idx = np.concatenate([pos[:, 0], pos[:, 2], neg[:, 0], neg[:, 2], synset_rows, sememe_flat])
+    rel_idx = np.concatenate([pos[:, 1], neg[:, 1], np.full(g, eq_rel_row, dtype=np.intp)])
+    rel_src = np.concatenate([np.arange(a), np.arange(2 * a, 3 * a), np.arange(4 * a, 4 * a + g)])
+    return l1, l2, block, node_idx, rel_idx, rel_src
+
+
+def _gradients(
+    table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float,
+    groups: AnnotationGroups, eq_rel_row: int,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed losses and dense gradients: ``_update_block`` at unit weights and step."""
+    l1, l2, block, node_idx, rel_idx, rel_src = _update_block(
+        table.node_matrix, table.relation_matrix, positives, negatives, margin, groups, eq_rel_row, 1.0, 1.0, 1.0
+    )
+    node_grad = np.zeros_like(table.node_matrix)
+    rel_grad = np.zeros_like(table.relation_matrix)
+    _scatter_rows(node_grad, node_idx, block, np.arange(len(node_idx)))
+    _scatter_rows(rel_grad, rel_idx, block, rel_src)
+    return l1 + l2, node_grad, rel_grad
+
+
 def margin_ranking_loss(
     table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float
 ) -> float:
@@ -298,14 +316,8 @@ def margin_loss_gradients(
         raise ContractError(
             f"positives and negatives must align pairwise: {len(positives)} vs {len(negatives)}"
         )
-    loss, node_idx, node_rows, rel_idx, rel_rows = _margin_contributions(
-        table.node_matrix, table.relation_matrix, positives, negatives, margin
-    )
-    node_grad = np.zeros_like(table.node_matrix)
-    rel_grad = np.zeros_like(table.relation_matrix)
-    _scatter_rows(node_grad, node_idx, node_rows)
-    _accumulate_rows(rel_grad, rel_idx, rel_rows)
-    return loss, node_grad, rel_grad
+    # With no groups, no row is written at the equivalence relation (0 here).
+    return _gradients(table, positives, negatives, margin, (np.empty(0, dtype=np.intp),) * 3, 0)
 
 
 def equivalence_loss(
@@ -320,15 +332,9 @@ def equivalence_loss_gradients(
     table: EmbeddingTable, annotations: Mapping[NodeId, frozenset[NodeId]]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Equivalence loss with dense gradients w.r.t. both matrices."""
-    eq_rel_row = table.relation_index(EQUIVALENCE_RELATION)
-    loss, node_idx, node_rows, rel_idx, rel_rows = _equivalence_contributions(
-        table.node_matrix, table.relation_matrix, eq_rel_row, *_annotation_groups(table, annotations)
-    )
-    node_grad = np.zeros_like(table.node_matrix)
-    rel_grad = np.zeros_like(table.relation_matrix)
-    _scatter_rows(node_grad, node_idx, node_rows)
-    _accumulate_rows(rel_grad, rel_idx, rel_rows)
-    return loss, node_grad, rel_grad
+    no_pairs = np.empty((0, 3), dtype=np.intp)
+    groups = _annotation_groups(table, annotations)
+    return _gradients(table, no_pairs, no_pairs, 0.0, groups, table.relation_index(EQUIVALENCE_RELATION))
 
 
 @dataclass(frozen=True)
@@ -372,28 +378,15 @@ def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
     return tuple(out)
 
 
-def _weighted_step(ranking_rows: np.ndarray, equivalence_rows: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """``-learning_rate * (weight * rows)`` for both row blocks, stacked.
-
-    Scaled in place, in that order: ``(-learning_rate * weight) * rows``
-    would round differently.
-    """
-    rows = np.concatenate([ranking_rows, equivalence_rows])
-    rows[: len(ranking_rows)] *= config.ranking_weight
-    rows[len(ranking_rows) :] *= config.equivalence_weight
-    rows *= -config.learning_rate
-    return rows
-
-
 def train(store: TripletStore, config: TrainConfig) -> TrainResult:
     """Mini-batch SGD over the train split.
 
     Each batch applies ``ranking_weight`` times the hinge gradients plus
     ``equivalence_weight`` times the equivalence gradients for exactly the
-    annotated synsets appearing in the batch's positives, then, when
-    ``normalize_entities`` is on, renormalizes every touched entity row so
-    all entity vectors stay at unit length.  The per-epoch trace records
-    the batch losses as encountered, before each batch's update.
+    annotated synsets in the batch's positives, as one block of rows added
+    in ``np.add.at`` order, then, when ``normalize_entities`` is on,
+    renormalizes every touched entity row to unit length.  The per-epoch
+    trace records the batch losses as encountered, before each update.
     """
     ordered = sorted(store.triplets_in(Split.TRAIN), key=lambda t: t.sort_key)
     if not ordered:
@@ -422,28 +415,23 @@ def train(store: TripletStore, config: TrainConfig) -> TrainResult:
         for start in range(0, len(order), config.batch_size):
             batch = positives[order[start : start + config.batch_size]]
             expanded = np.repeat(batch, config.negatives_per_positive, axis=0)
-            l1, n_idx1, n_rows1, r_idx1, r_rows1 = _margin_contributions(
-                node_m, rel_m, expanded, sampler.sample(expanded, rng), config.margin
-            )
+            negatives = sampler.sample(expanded, rng)
             endpoints = batch[:, ::2] if config.equivalence_weight > 0 else batch[:0]
-            l2, n_idx2, n_rows2, r_idx2, r_rows2 = _equivalence_contributions(
-                node_m, rel_m, eq_rel_row, *_groups_touching(groups, endpoints)
+            l1, l2, block, node_idx, rel_idx, rel_src = _update_block(
+                node_m, rel_m, expanded, negatives, config.margin, _groups_touching(groups, endpoints),
+                eq_rel_row, config.ranking_weight, config.equivalence_weight, -config.learning_rate,
             )
             l1_sum += l1
             l2_sum += l2
+            touched = _scatter_rows(node_m, node_idx, block, np.arange(len(node_idx)))
+            _scatter_rows(rel_m, rel_idx, block, rel_src)
 
-            node_idx = np.concatenate([n_idx1, n_idx2])
-            node_rows = _weighted_step(n_rows1, n_rows2, config)
-            rel_idx = np.concatenate([r_idx1, r_idx2])
-            rel_rows = _weighted_step(r_rows1, r_rows2, config)
-            _scatter_rows(node_m, node_idx, node_rows)
-            _accumulate_rows(rel_m, rel_idx, rel_rows)
-
-            if config.normalize_entities and len(node_idx):
-                touched = np.unique(node_idx)
-                norms = np.linalg.norm(node_m[touched], axis=1, keepdims=True)
+            if config.normalize_entities and len(touched):
+                rows = node_m[touched]
+                norms = np.linalg.norm(rows, axis=1, keepdims=True)
                 norms[norms == 0.0] = 1.0
-                node_m[touched] = node_m[touched] / norms
+                rows /= norms
+                node_m[touched] = rows
 
         total = config.ranking_weight * l1_sum + config.equivalence_weight * l2_sum
         if not (math.isfinite(l1_sum) and math.isfinite(l2_sum) and math.isfinite(total)):

@@ -90,8 +90,8 @@ class SynthConfig:
             raise ConfigError(f"twin_fraction must lie in [0, 1], got {self.twin_fraction}")
         if self.vector_dim < 1:
             raise ConfigError(f"vector_dim must be >= 1, got {self.vector_dim}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _gold_size(config: SynthConfig, rng: random.Random) -> int:

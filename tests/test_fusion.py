@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,12 @@ class TestFusionConfig:
     def test_invalid_weights(self, kwargs):
         with pytest.raises(ConfigError):
             FusionConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["similarity_weight", "translation_weight", "threshold"])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            FusionConfig(**{field: value})
 
     def test_single_zero_weight_is_allowed(self):
         assert FusionConfig(similarity_weight=0.0).similarity_weight == 0.0

@@ -71,6 +71,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["margin", "learning_rate", "ranking_weight", "equivalence_weight"])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestInitEmbeddings:
     def test_same_seed_identical(self, toy_store):

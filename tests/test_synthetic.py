@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+import math
 import random
 
 import numpy as np
@@ -164,6 +165,11 @@ class TestSynthConfig:
     def test_infeasible_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, value):
+        with pytest.raises(ConfigError, match="noise"):
+            SynthConfig(noise=value)
 
 
 class TestGenerate:

@@ -1,9 +1,9 @@
 """The trainer's row updates against ``np.add.at``.
 
-``train`` applies each batch's sparse gradient rows with ``_scatter_rows``
-(node matrix) and ``_accumulate_rows`` (relation matrix), and scales the
-rows in place.  ``_reference_train`` below is the earlier loop, which
-built each batch's rows with ``_reference_margin_contributions`` and
+``train`` writes each batch's update rows once into one block and applies
+them to both matrices with ``_scatter_rows``.  ``_reference_train`` below
+is the earlier loop, which built each batch's rows with
+``_reference_margin_contributions`` and
 ``_reference_equivalence_contributions``, scaled them into fresh arrays
 and applied every update with ``np.add.at``.  These references are kept
 here, apart from ``kge``, so a change to the trainer cannot change both
@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from semepred import Split, SynthConfig, TrainConfig, generate, train
 from semepred.graph import EQUIVALENCE_RELATION
 from semepred.kge import (
+    _HUB_UPDATES,
     EpochLoss,
     NegativeSampler,
-    _accumulate_rows,
     _annotation_groups,
     _groups_touching,
     _scatter_rows,
@@ -35,7 +35,7 @@ from semepred.kge import (
     margin_loss_gradients,
 )
 
-KERNELS = (_scatter_rows, _accumulate_rows)
+KERNELS = (_scatter_rows,)
 
 
 def _reference_margin_contributions(node_m, rel_m, positives, negatives, margin):
@@ -230,12 +230,14 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
     np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
 
 
-def _assert_kernel_matches_add_at(kernel, m, idx, vals):
+def _assert_kernel_matches_add_at(kernel, m, idx, vals, src=None):
+    src = np.arange(len(idx)) if src is None else src
     expected = m.copy()
-    np.add.at(expected, idx, vals)
+    np.add.at(expected, idx, vals[src])
     got = m.copy()
-    kernel(got, idx, vals)
+    touched = kernel(got, idx, vals, src)
     np.testing.assert_array_equal(_bits(got), _bits(expected))
+    np.testing.assert_array_equal(touched, np.unique(idx))
 
 
 def _spread(rng: np.random.Generator, shape) -> np.ndarray:
@@ -283,6 +285,34 @@ class TestKernels:
         vals[1::7] = -1e8
         _assert_kernel_matches_add_at(kernel, _spread(rng, (2, 5)), idx, vals)
 
+    def test_rows_hit_exactly_the_hub_bound_and_one_more(self, kernel):
+        rng = np.random.default_rng(5)
+        idx = np.concatenate([np.full(_HUB_UPDATES, 0), np.full(_HUB_UPDATES + 1, 1), rng.integers(2, 6, 40)])
+        rng.shuffle(idx)
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (6, 3)), idx, _spread(rng, (len(idx), 3)))
+
+    def test_hub_rows_of_width_one(self, kernel):
+        # Values of one magnitude, where a pairwise sum and a running sum
+        # round apart.
+        rng = np.random.default_rng(6)
+        idx = np.concatenate([np.repeat(np.arange(4), 250), rng.integers(0, 6, 20)])
+        rng.shuffle(idx)
+        _assert_kernel_matches_add_at(kernel, rng.standard_normal((6, 1)), idx, rng.standard_normal((len(idx), 1)))
+
+    def test_signed_zeros_in_a_hub_row(self, kernel):
+        n = 2 * _HUB_UPDATES
+        m = np.array([[-0.0, 0.0, -0.0, 1.0]])
+        vals = np.array([[-0.0, 0.0, -0.0, -1.0], [-0.0, -0.0, 0.0, 1.0], [0.0, -0.0, -0.0, -0.0]])
+        src = np.arange(n) % 3
+        _assert_kernel_matches_add_at(kernel, m, np.zeros(n, dtype=np.intp), vals, src)
+
+    def test_rows_read_through_src(self, kernel):
+        rng = np.random.default_rng(7)
+        idx = np.concatenate([np.full(3 * _HUB_UPDATES, 1), rng.integers(0, 5, 60)])
+        rng.shuffle(idx)
+        src = rng.integers(0, 25, len(idx))
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (5, 4)), idx, _spread(rng, (25, 4)), src)
+
     @given(
         st.integers(1, 8),
         st.integers(1, 5),
@@ -293,4 +323,6 @@ class TestKernels:
     def test_matches_add_at(self, kernel, rows, dim, raw_idx, seed):
         rng = np.random.default_rng(seed)
         idx = np.array([i % rows for i in raw_idx], dtype=np.intp)
-        _assert_kernel_matches_add_at(kernel, _spread(rng, (rows, dim)), idx, _spread(rng, (len(idx), dim)))
+        src = rng.integers(0, len(idx) + 3, len(idx))
+        vals = _spread(rng, (len(idx) + 3, dim))
+        _assert_kernel_matches_add_at(kernel, _spread(rng, (rows, dim)), idx, vals, src)
