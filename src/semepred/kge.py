@@ -276,7 +276,8 @@ def _update_block(
         rows *= step
     np.negative(u, out=neg_u)
     np.negative(v, out=neg_v)
-    np.take(w, np.repeat(np.arange(g), np.diff(offsets, append=len(sememe_flat))), axis=0, out=neg_w, mode="clip")
+    sizes = np.diff(offsets, append=len(sememe_flat))
+    np.take(w, np.repeat(np.arange(g), sizes), axis=0, out=neg_w, mode="clip")
     np.negative(neg_w, out=neg_w)
     pos, neg = positives[active], negatives[active]
     node_idx = np.concatenate([pos[:, 0], pos[:, 2], neg[:, 0], neg[:, 2], synset_rows, sememe_flat])
