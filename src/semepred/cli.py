@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from .atomic import atomic_open
 from .config import (
+    CHOICES,
     Settings,
     bucket_specs,
     fusion_config,
@@ -79,7 +80,13 @@ def _existing_path(settings: Settings, key: str) -> Path:
     path = Path(text)
     if not path.exists():
         raise ConfigError(f"{key} points to a missing file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{key} points to {path}, which is not a regular file")
     return path
+
+
+def _optional_path(settings: Settings, key: str) -> Path | None:
+    return _existing_path(settings, key) if str(settings[key]) else None
 
 
 def _out_dir(settings: Settings) -> Path:
@@ -90,14 +97,12 @@ def _out_dir(settings: Settings) -> Path:
 
 def _load_dataset(settings: Settings) -> TripletStore:
     triplets = _existing_path(settings, "data.triplets")
-    pos = _existing_path(settings, "data.pos") if str(settings["data.pos"]) else None
-    return load_triplets(triplets, pos)
+    return load_triplets(triplets, _optional_path(settings, "data.pos"))
 
 
 def cmd_prepare(settings: Settings) -> None:
     triplets = _existing_path(settings, "prepare.triplets")
-    pos = _existing_path(settings, "prepare.pos") if str(settings["prepare.pos"]) else None
-    store = load_triplets(triplets, pos)
+    store = load_triplets(triplets, _optional_path(settings, "prepare.pos"))
     store = store.filter_low_frequency(
         int(settings["prepare.min_node_degree"]), int(settings["prepare.min_relation_count"])
     )
@@ -144,18 +149,10 @@ def cmd_predict(settings: Settings) -> None:
     fcfg = fusion_config(settings)
     scfg = sr_config(settings)
 
-    table = (
-        EmbeddingTable.load(_existing_path(settings, "data.embeddings"))
-        if str(settings["data.embeddings"])
-        else None
-    )
-    vectors = (
-        SemanticVectorStore.load(
-            _existing_path(settings, "data.vectors"), known_synsets=store.synsets
-        )
-        if str(settings["data.vectors"])
-        else None
-    )
+    embeddings = _optional_path(settings, "data.embeddings")
+    table = EmbeddingTable.load(embeddings) if embeddings else None
+    vectors_path = _optional_path(settings, "data.vectors")
+    vectors = SemanticVectorStore.load(vectors_path, known_synsets=store.synsets) if vectors_path else None
     # A single model is the fusion with the other model's weight at 0,
     # computed from its own input alone.
     if model == "similarity":
@@ -328,14 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, pairs in _FLAG_KEYS.items():
         sub = subparsers.add_parser(command, help=helps[command], parents=[common])
         for flag, key in pairs:
-            if flag == "model":
-                sub.add_argument("--model", choices=("fused", "similarity", "translation"),
-                                 help=f"sets {key}")
-            elif flag == "split":
-                sub.add_argument("--split", choices=("train", "valid", "test"),
-                                 help=f"sets {key}")
-            else:
-                sub.add_argument(f"--{flag}", help=f"sets {key}")
+            sub.add_argument(f"--{flag}", choices=CHOICES.get(key), help=f"sets {key}")
     return parser
 
 

@@ -13,17 +13,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from .atomic import atomic_open
-from .errors import ConfigError
+from .errors import ConfigError, utf8_or_fail
 from .evaluation import BucketQuantity, BucketSpec
 from .fusion import FusionConfig
+from .graph import Split
 from .kge import TrainConfig
 from .recommender import SrConfig
 from .synthetic import SynthConfig
 
 ENV_PREFIX = "SEMEPRED_"
+
+# Module settings: key -> (type tag, config class, field).  Each default
+# is the class's own; tags stay explicit, so a default's Python type never
+# decides how a setting parses.
+MODULE_SETTINGS: dict[str, tuple[str, type, str]] = {
+    "train.dimension": ("int", TrainConfig, "dimension"),
+    "train.margin": ("float", TrainConfig, "margin"),
+    "train.ranking_weight": ("float", TrainConfig, "ranking_weight"),
+    "train.equivalence_weight": ("float", TrainConfig, "equivalence_weight"),
+    "train.learning_rate": ("float", TrainConfig, "learning_rate"),
+    "train.epochs": ("int", TrainConfig, "epochs"),
+    "train.batch_size": ("int", TrainConfig, "batch_size"),
+    "train.negatives": ("int", TrainConfig, "negatives_per_positive"),
+    "train.normalize_entities": ("bool", TrainConfig, "normalize_entities"),
+    "train.corrupt_heads": ("bool", TrainConfig, "corrupt_heads"),
+    "train.type_consistent_negatives": ("bool", TrainConfig, "type_consistent_negatives"),
+    "train.max_resample": ("int", TrainConfig, "max_resample"),
+    "sr.decay": ("float", SrConfig, "decay"),
+    "sr.neighbor_cap": ("int", SrConfig, "neighbor_cap"),
+    "fusion.similarity_weight": ("float", FusionConfig, "similarity_weight"),
+    "fusion.translation_weight": ("float", FusionConfig, "translation_weight"),
+    "fusion.threshold": ("float", FusionConfig, "threshold"),
+    "synth.n_synsets": ("int", SynthConfig, "n_synsets"),
+    "synth.n_sememes": ("int", SynthConfig, "n_sememes"),
+    "synth.min_sememes": ("int", SynthConfig, "min_sememes_per_synset"),
+    "synth.max_sememes": ("int", SynthConfig, "max_sememes_per_synset"),
+    "synth.antonym_pairs": ("int", SynthConfig, "n_antonym_pairs"),
+    "synth.hypernym_edges": ("int", SynthConfig, "n_hypernym_edges"),
+    "synth.twin_fraction": ("float", SynthConfig, "twin_fraction"),
+    "synth.vector_dim": ("int", SynthConfig, "vector_dim"),
+    "synth.noise": ("float", SynthConfig, "noise"),
+}
 
 # key -> (type tag, default); type tags: int, float, bool, str, ints, floats
 SCHEMA: dict[str, tuple[str, object]] = {
@@ -40,23 +73,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "data.vectors": ("str", ""),
     "data.embeddings": ("str", ""),
     "data.predictions": ("str", ""),
-    "train.dimension": ("int", 800),
-    "train.margin": ("float", 4.0),
-    "train.ranking_weight": ("float", 0.95),
-    "train.equivalence_weight": ("float", 0.05),
-    "train.learning_rate": ("float", 0.01),
-    "train.epochs": ("int", 1000),
-    "train.batch_size": ("int", 1024),
-    "train.negatives": ("int", 1),
-    "train.normalize_entities": ("bool", True),
-    "train.corrupt_heads": ("bool", False),
-    "train.type_consistent_negatives": ("bool", False),
-    "train.max_resample": ("int", 100),
-    "sr.decay": ("float", 0.8),
-    "sr.neighbor_cap": ("int", 100),
-    "fusion.similarity_weight": ("float", 0.45),
-    "fusion.translation_weight": ("float", 0.55),
-    "fusion.threshold": ("float", 0.32),
+    **{key: (tag, getattr(cls, field)) for key, (tag, cls, field) in MODULE_SETTINGS.items()},
     "fusion.raw_scores": ("bool", False),
     "predict.model": ("str", "fused"),
     "predict.split": ("str", "test"),
@@ -67,15 +84,13 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "analyze.sememe_count_buckets": ("ints", (0, 2, 3, 4, 5, 6)),
     "analyze.sememe_degree_buckets": ("ints", (0, 26, 51, 76, 101, 151, 201)),
     "analyze.top_k": ("int", 10),
-    "synth.n_synsets": ("int", 300),
-    "synth.n_sememes": ("int", 40),
-    "synth.min_sememes": ("int", 1),
-    "synth.max_sememes": ("int", 4),
-    "synth.antonym_pairs": ("int", 5),
-    "synth.hypernym_edges": ("int", 10),
-    "synth.twin_fraction": ("float", 0.5),
-    "synth.vector_dim": ("int", 40),
-    "synth.noise": ("float", 0.05),
+}
+
+# The settings that take one of a closed set of values, in checking order.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "predict.model": ("fused", "similarity", "translation"),
+    **{key: tuple(s.value for s in Split) for key in ("predict.split", "eval.split", "analyze.split")},
+    "eval.f1_mode": ("macro", "micro"),
 }
 
 
@@ -132,7 +147,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_or_fail(path, ConfigError):
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -210,77 +225,41 @@ def resolve(
 
 
 def _validate(settings: Settings) -> None:
-    model = settings["predict.model"]
-    if model not in ("fused", "similarity", "translation"):
-        raise ConfigError(f"predict.model must be fused, similarity, or translation, got {model!r}")
-    for key in ("predict.split", "eval.split", "analyze.split"):
-        if settings[key] not in ("train", "valid", "test"):
-            raise ConfigError(f"{key} must be train, valid, or test, got {settings[key]!r}")
-    if settings["eval.f1_mode"] not in ("macro", "micro"):
-        raise ConfigError(f"eval.f1_mode must be macro or micro, got {settings['eval.f1_mode']!r}")
+    for key, allowed in CHOICES.items():
+        if settings[key] not in allowed:
+            listed = ", ".join(allowed[:-1]) + ("," if len(allowed) > 2 else "")
+            raise ConfigError(f"{key} must be {listed} or {allowed[-1]}, got {settings[key]!r}")
 
 
 # -- adapters into module configs -------------------------------------
 
+_CAST = {"int": int, "float": float, "bool": bool}
+C = TypeVar("C")
+
+
+def _module_config(cls: type[C], settings: Settings, **overrides: object) -> C:
+    """``cls`` from its MODULE_SETTINGS rows, the global seed if it takes one, then ``overrides``."""
+    fields = {f: _CAST[tag](settings[k]) for k, (tag, owner, f) in MODULE_SETTINGS.items() if owner is cls}
+    if hasattr(cls, "seed"):
+        fields["seed"] = int(settings["seed"])
+    return cls(**{**fields, **overrides})
+
 
 def train_config(settings: Settings) -> TrainConfig:
-    return TrainConfig(
-        dimension=int(settings["train.dimension"]),
-        margin=float(settings["train.margin"]),
-        ranking_weight=float(settings["train.ranking_weight"]),
-        equivalence_weight=float(settings["train.equivalence_weight"]),
-        learning_rate=float(settings["train.learning_rate"]),
-        epochs=int(settings["train.epochs"]),
-        batch_size=int(settings["train.batch_size"]),
-        negatives_per_positive=int(settings["train.negatives"]),
-        seed=int(settings["seed"]),
-        normalize_entities=bool(settings["train.normalize_entities"]),
-        corrupt_heads=bool(settings["train.corrupt_heads"]),
-        type_consistent_negatives=bool(settings["train.type_consistent_negatives"]),
-        max_resample=int(settings["train.max_resample"]),
-    )
+    return _module_config(TrainConfig, settings)
 
 
 def sr_config(settings: Settings) -> SrConfig:
-    cap = int(settings["sr.neighbor_cap"])
-    return SrConfig(
-        decay=float(settings["sr.decay"]),
-        neighbor_cap=None if cap == 0 else cap,
-    )
+    return _module_config(SrConfig, settings, neighbor_cap=int(settings["sr.neighbor_cap"]) or None)
 
 
 def fusion_config(settings: Settings) -> FusionConfig:
-    return FusionConfig(
-        similarity_weight=float(settings["fusion.similarity_weight"]),
-        translation_weight=float(settings["fusion.translation_weight"]),
-        threshold=float(settings["fusion.threshold"]),
-    )
+    return _module_config(FusionConfig, settings)
 
 
 def synth_config(settings: Settings) -> SynthConfig:
-    return SynthConfig(
-        n_synsets=int(settings["synth.n_synsets"]),
-        n_sememes=int(settings["synth.n_sememes"]),
-        min_sememes_per_synset=int(settings["synth.min_sememes"]),
-        max_sememes_per_synset=int(settings["synth.max_sememes"]),
-        n_antonym_pairs=int(settings["synth.antonym_pairs"]),
-        n_hypernym_edges=int(settings["synth.hypernym_edges"]),
-        twin_fraction=float(settings["synth.twin_fraction"]),
-        vector_dim=int(settings["synth.vector_dim"]),
-        noise=float(settings["synth.noise"]),
-        seed=int(settings["seed"]),
-    )
+    return _module_config(SynthConfig, settings)
 
 
 def bucket_specs(settings: Settings) -> dict[BucketQuantity, BucketSpec]:
-    return {
-        BucketQuantity.SYNSET_DEGREE: BucketSpec(
-            BucketQuantity.SYNSET_DEGREE, tuple(settings["analyze.synset_degree_buckets"])
-        ),
-        BucketQuantity.SEMEME_COUNT: BucketSpec(
-            BucketQuantity.SEMEME_COUNT, tuple(settings["analyze.sememe_count_buckets"])
-        ),
-        BucketQuantity.SEMEME_DEGREE: BucketSpec(
-            BucketQuantity.SEMEME_DEGREE, tuple(settings["analyze.sememe_degree_buckets"])
-        ),
-    }
+    return {q: BucketSpec(q, tuple(settings[f"analyze.{q.value}_buckets"])) for q in BucketQuantity}

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ParseError, UnknownIdError, ValidationError
+from .errors import ParseError, UnknownIdError, ValidationError, utf8_or_fail
 from .graph import (
     EQUIVALENCE_RELATION,
     NodeId,
@@ -46,7 +46,7 @@ def read_vector_file(
     ids it rejects with :class:`ValidationError`, malformed or non-finite
     components and repeated ids fail naming ``path:line``."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
         header = fh.readline().rstrip("\n")
         if not header.startswith("D=") or not header[2:].isdecimal():
             raise ParseError(f"{path}:1: expected a D=<dim> header, got {header!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .atomic import atomic_open
-from .errors import ConfigError, ContractError, ParseError, ValidationError
+from .errors import ConfigError, ContractError, ParseError, ValidationError, utf8_or_fail
 from .graph import NodeId
 from .ranking import ScoredRanking
 
@@ -150,7 +150,7 @@ def load_predictions(
     path = Path(path)
     results: list[PredictionResult] = []
     first_line: dict[NodeId, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .atomic import atomic_open
-from .errors import ConfigError, ParseError, UnknownIdError, ValidationError
+from .errors import ConfigError, ParseError, UnknownIdError, ValidationError, utf8_or_fail
 
 logger = logging.getLogger(__name__)
 
@@ -454,7 +454,7 @@ class TripletStore:
 
 
 def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

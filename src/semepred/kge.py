@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .embeddings import EmbeddingTable, init_embeddings
-from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError
+from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError, utf8_or_fail
 from .graph import (
     EQUIVALENCE_RELATION,
     NodeId,
@@ -361,7 +361,7 @@ def save_loss_trace(trace: Iterable[EpochLoss], path: str | Path) -> None:
 
 def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, utf8_or_fail(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["epoch", "l1", "l2", "total"]:

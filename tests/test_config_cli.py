@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from semepred import ConfigError, Pos, Split
+from semepred import ConfigError, FusionConfig, Pos, Split, SrConfig, SynthConfig, TrainConfig
 from semepred.cli import main
 from semepred.config import (
+    CHOICES,
     SCHEMA,
     bucket_specs,
     env_name,
@@ -109,6 +110,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="not found"):
             load_config_file(tmp_path / "absent.conf")
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"run\.conf:2: not valid UTF-8"):
+            load_config_file(path)
+
 
 class TestResolve:
     def test_defaults(self):
@@ -159,6 +166,26 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve(sets=sets)
 
+    @pytest.mark.parametrize(
+        ("key", "message"),
+        [
+            ("predict.model", "predict.model must be fused, similarity, or translation, got 'neural'"),
+            ("predict.split", "predict.split must be train, valid, or test, got 'neural'"),
+            ("eval.split", "eval.split must be train, valid, or test, got 'neural'"),
+            ("analyze.split", "analyze.split must be train, valid, or test, got 'neural'"),
+            ("eval.f1_mode", "eval.f1_mode must be macro or micro, got 'neural'"),
+        ],
+    )
+    def test_closed_settings_name_their_values(self, key, message):
+        with pytest.raises(ConfigError) as excinfo:
+            resolve(sets=[f"{key}=neural"])
+        assert str(excinfo.value) == message
+
+    def test_closed_settings_default_to_an_allowed_value(self):
+        assert list(CHOICES) == ["predict.model", "predict.split", "eval.split", "analyze.split", "eval.f1_mode"]
+        for key, allowed in CHOICES.items():
+            assert SCHEMA[key][1] in allowed, key
+
     def test_render_reproduces_the_run(self, tmp_path):
         settings = resolve(sets=["train.margin=2.5", "seed=11", "prepare.ratios=0.7,0.2,0.1"])
         echo = settings.write_echo(tmp_path)
@@ -193,6 +220,13 @@ class TestAdapters:
         config = synth_config(resolve(sets=["seed=5", "synth.n_synsets=10"]))
         assert config.seed == 5
         assert config.n_synsets == 10
+
+    @pytest.mark.parametrize(
+        ("adapter", "cls"),
+        [(train_config, TrainConfig), (sr_config, SrConfig), (fusion_config, FusionConfig), (synth_config, SynthConfig)],
+    )
+    def test_stock_settings_build_the_stock_config(self, adapter, cls):
+        assert adapter(resolve()) == cls()
 
     def test_bucket_specs_cover_all_three_quantities(self):
         specs = bucket_specs(resolve())
@@ -259,6 +293,32 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "predictions.tsv:2: duplicate prediction for syn:a, first on line 1" in capsys.readouterr().err
+
+    def test_non_utf8_data_file_returns_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"syn:a\trelated\tsyn:b\nsyn:c\trel\xffated\tsyn:d\n")
+        code = main(["prepare", "--triplets", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_returns_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"config error: {path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("flag", "key"), [("--data", "data.triplets"), ("--pos", "data.pos"), ("--vectors", "data.vectors")]
+    )
+    def test_directory_path_returns_one_naming_the_setting(self, tmp_path, capsys, flag, key):
+        data = tmp_path / "data.tsv"
+        data.write_text("syn:a\thave_sememe\tsem:p\ttest\n", encoding="utf-8")
+        # The last of a repeated flag wins, so --data can name the directory too.
+        code = main(["predict", "--data", str(data), "--model", "similarity", "--out", str(tmp_path / "out"),
+                     flag, str(tmp_path)])
+        assert code == 1
+        assert f"config error: {key} points to {tmp_path}, which is not a regular file" in capsys.readouterr().err
 
     def test_success_returns_zero(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "out"),

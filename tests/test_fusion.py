@@ -262,6 +262,12 @@ class TestPredictionDump:
         with pytest.raises(ParseError, match="bad score"):
             load_predictions(path)
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "predictions.tsv"
+        path.write_bytes(b"syn:t\tsem:s1:1.0\tsem:s1\nsyn:u\tsem:\xe2s2:1.0\t\n")
+        with pytest.raises(ParseError, match=r"predictions\.tsv:2: not valid UTF-8"):
+            load_predictions(path)
+
     def test_unsorted_scores_are_a_parse_error(self, tmp_path):
         path = tmp_path / "predictions.tsv"
         path.write_text("syn:t\tsem:s1:1.0,sem:s2:2.0\t\n")

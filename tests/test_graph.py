@@ -300,6 +300,21 @@ class TestPosFilter:
 
 
 class TestFileFormats:
+    def test_non_utf8_triplet_line_is_named(self, tmp_path):
+        # The bad byte sits in the first block read, so the line is found
+        # by rereading, not by where decoding stopped.
+        path = tmp_path / "data.tsv"
+        path.write_bytes(b"syn:a\trelated\tsyn:b\n# note\nsyn:c\trel\xffated\tsyn:d\n")
+        with pytest.raises(ParseError, match=r"data\.tsv:3: not valid UTF-8"):
+            load_triplets(path)
+
+    def test_non_utf8_pos_line_is_named(self, tmp_path):
+        data, pos = tmp_path / "data.tsv", tmp_path / "pos.tsv"
+        data.write_text("syn:a\trelated\tsyn:b\n", encoding="utf-8")
+        pos.write_bytes(b"syn:a\tnoun\nsyn:b\tno\xe9un\n")
+        with pytest.raises(ParseError, match=r"pos\.tsv:2: not valid UTF-8"):
+            load_triplets(data, pos)
+
     def test_round_trip_with_split_and_pos(self, tmp_path, toy_store):
         split = toy_store.split_dataset((0.4, 0.3, 0.3), seed=5)
         data = tmp_path / "data.tsv"

@@ -112,6 +112,17 @@ class TestInitEmbeddings:
 
 
 class TestEmbeddingFile:
+    @pytest.mark.parametrize(
+        ("content", "line"),
+        [(b"D=\xb2\nsyn:a\t1.0\n", 1), (b"D=1\nsyn:a\t1.0\nsyn:\xffb\t2.0\n", 3)],
+        ids=["header", "row"],
+    )
+    def test_non_utf8_line_is_named(self, tmp_path, content, line):
+        path = tmp_path / "embeddings.tsv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=rf"embeddings\.tsv:{line}: not valid UTF-8"):
+            EmbeddingTable.load(path)
+
     def test_duplicate_id_names_the_line(self, tmp_path):
         path = tmp_path / "embeddings.tsv"
         rows = [("sem:x", np.ones(2)), ("sem:y", np.ones(2)), ("syn:a", np.ones(2)), ("syn:a", np.zeros(2))]
@@ -630,6 +641,12 @@ class TestLossTraceIO:
         save_loss_trace(trace, path)
         assert path.read_text(encoding="utf-8").splitlines()[0] == "epoch,l1,l2,total"
         assert load_loss_trace(path) == trace
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"epoch,l1,l2,total\n1,1.5,0.25,1.4375\n2,1.0,0.125,0.9\xff\n")
+        with pytest.raises(ParseError, match=r"trace\.csv:3: not valid UTF-8"):
+            load_loss_trace(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -107,6 +107,12 @@ class TestVectorStore:
         with pytest.raises(ValidationError, match=r"vectors\.tsv:3: duplicate"):
             SemanticVectorStore.load(path)
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "vectors.tsv"
+        path.write_bytes(b"D=2\nsyn:a\t1.0 0.5\nsyn:b\t1.0 0.5\xc3\n")
+        with pytest.raises(ParseError, match=r"vectors\.tsv:3: not valid UTF-8"):
+            SemanticVectorStore.load(path)
+
     def test_non_finite_component_names_the_line(self, tmp_path):
         path = tmp_path / "vectors.tsv"
         path.write_text("D=2\nsyn:a\t1.0 0.5\nsyn:b\tnan 1.0\n")

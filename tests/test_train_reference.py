@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semepred import Split, SynthConfig, TrainConfig, generate, train
-from semepred.graph import EQUIVALENCE_RELATION
+from semepred.embeddings import EmbeddingTable
+from semepred.graph import EQUIVALENCE_RELATION, sememe_id, synset_id
 from semepred.kge import (
     _HUB_UPDATES,
     EpochLoss,
@@ -30,6 +31,7 @@ from semepred.kge import (
     _annotation_groups,
     _groups_touching,
     _scatter_rows,
+    _update_block,
     equivalence_loss_gradients,
     init_embeddings,
     margin_loss_gradients,
@@ -228,6 +230,62 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
     _, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
     np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
     np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
+
+
+def _signed_zero_case(fraction: float, width: int, size: int):
+    """A table whose sememe rows have ``fraction`` of their entries at
+    -0.0, and annotations grouping ``size`` of them per synset.  The
+    synset rows and the equivalence row are -0.0 throughout, so each
+    residual is the negated sememe sum and a zero in it keeps its sign.
+    About 4,000 residual entries, so a column of -0.0 in every row of a
+    group turns up at both fractions when groups are small."""
+    rng = np.random.default_rng([int(fraction * 100), width, size])
+    n_groups, n_sememes = -(-4_000 // width), 200
+    sememes = [sememe_id(f"s{i:03d}") for i in range(n_sememes)]
+    synsets = [synset_id(f"g{i:04d}") for i in range(n_groups)]
+    sememe_m = _spread(rng, (n_sememes, width))
+    sememe_m[rng.random(sememe_m.shape) < fraction] = -0.0
+    table = EmbeddingTable(
+        width,
+        tuple(sememes + synsets),
+        (EQUIVALENCE_RELATION,),
+        np.concatenate([sememe_m, np.full((n_groups, width), -0.0)]),
+        np.full((1, width), -0.0),
+    )
+    annotations = {
+        synset: frozenset(sememes[i] for i in rng.choice(n_sememes, size, replace=False)) for synset in synsets
+    }
+    return table, annotations
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+@pytest.mark.parametrize("width", [1, 3, 800])
+@pytest.mark.parametrize("fraction", [0.05, 0.5])
+def test_equivalence_sums_keep_signed_zeros(fraction, width, size):
+    table, annotations = _signed_zero_case(fraction, width, size)
+    groups = _annotation_groups(table, annotations)
+    ref_loss, node_idx, node_rows, rel_idx, rel_rows = _reference_equivalence_contributions(
+        table.node_matrix, table.relation_matrix, 0, *groups
+    )
+    node_ref = np.zeros_like(table.node_matrix)
+    rel_ref = np.zeros_like(table.relation_matrix)
+    np.add.at(node_ref, node_idx, node_rows)
+    np.add.at(rel_ref, rel_idx, rel_rows)
+    loss, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+    assert float.hex(loss) == float.hex(ref_loss)
+    np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
+    np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
+    # A dense gradient starts at +0.0, which hides the sign of a zero row
+    # entry, so the update rows are compared as well.
+    no_pairs = np.empty((0, 3), dtype=np.intp)
+    _, l2, block, got_node_idx, got_rel_idx, rel_src = _update_block(
+        table.node_matrix, table.relation_matrix, no_pairs, no_pairs, 0.0, groups, 0, 1.0, 1.0, 1.0
+    )
+    assert float.hex(l2) == float.hex(ref_loss)
+    np.testing.assert_array_equal(got_node_idx, node_idx)
+    np.testing.assert_array_equal(got_rel_idx, rel_idx)
+    np.testing.assert_array_equal(_bits(block), _bits(node_rows))
+    np.testing.assert_array_equal(_bits(block[rel_src]), _bits(rel_rows))
 
 
 def _assert_kernel_matches_add_at(kernel, m, idx, vals, src=None):
