@@ -91,7 +91,10 @@ def _optional_path(settings: Settings, key: str) -> Path | None:
 
 def _out_dir(settings: Settings) -> Path:
     out = Path(str(settings["out"]))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"out points to {out}, which is not a directory") from exc
     return out
 
 

@@ -146,6 +146,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file {path} is not a regular file")
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh, utf8_or_fail(path, ConfigError):
         for lineno, line in enumerate(fh, start=1):

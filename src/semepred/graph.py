@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .atomic import atomic_open
 from .errors import ConfigError, ParseError, UnknownIdError, ValidationError, utf8_or_fail
@@ -28,19 +28,25 @@ logger = logging.getLogger(__name__)
 EQUIVALENCE_RELATION_NAME = "semantic_equivalence"
 
 
-class NodeKind(enum.Enum):
+class _IdentityEnum(enum.Enum):
+    """Members are singletons compared by identity; hash them by identity, in C."""
+
+    __hash__ = object.__hash__
+
+
+class NodeKind(_IdentityEnum):
     SYNSET = "syn"
     SEMEME = "sem"
 
 
-class RelationKind(enum.Enum):
+class RelationKind(_IdentityEnum):
     SYNSET_SYNSET = "syn-syn"
     SEMEME_SEMEME = "sem-sem"
     HAVE_SEMEME = "have"
     EQUIVALENCE = "equiv"
 
 
-class Pos(enum.Enum):
+class Pos(_IdentityEnum):
     NOUN = "noun"
     VERB = "verb"
     ADJ = "adj"
@@ -48,7 +54,7 @@ class Pos(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Split(enum.Enum):
+class Split(_IdentityEnum):
     TRAIN = "train"
     VALID = "valid"
     TEST = "test"
@@ -112,17 +118,13 @@ def sememe_id(bare: str) -> NodeId:
     return NodeId(f"sem:{bare}")
 
 
-@dataclass(frozen=True)
-class RelationId:
+class RelationId(NamedTuple):
     """A relation identified by (kind, name); the same name may exist for
-    several kinds, e.g. ``antonym`` between synsets and between sememes."""
+    several kinds, e.g. ``antonym`` between synsets and between sememes.
+    :func:`make_triplet` and :meth:`parse` check it where it enters."""
 
     kind: RelationKind
     name: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("relation name must be non-empty")
 
     @property
     def serialized(self) -> str:
@@ -137,6 +139,8 @@ class RelationId:
             kind = RelationKind(parts[1])
         except ValueError as exc:
             raise ValidationError(f"unknown relation kind {parts[1]!r} in {text!r}") from exc
+        if not parts[2]:
+            raise ValidationError("relation name must be non-empty")
         return cls(kind, parts[2])
 
     @property
@@ -150,33 +154,19 @@ class RelationId:
 EQUIVALENCE_RELATION = RelationId(RelationKind.EQUIVALENCE, EQUIVALENCE_RELATION_NAME)
 
 
-def _relation_kind_for(head: NodeId, tail: NodeId) -> RelationKind:
-    if head.kind is NodeKind.SYNSET and tail.kind is NodeKind.SYNSET:
-        return RelationKind.SYNSET_SYNSET
-    if head.kind is NodeKind.SEMEME and tail.kind is NodeKind.SEMEME:
-        return RelationKind.SEMEME_SEMEME
-    if head.kind is NodeKind.SYNSET and tail.kind is NodeKind.SEMEME:
-        return RelationKind.HAVE_SEMEME
-    raise ValidationError(
-        f"triplet with sememe head {head} and synset tail {tail} is not a legal kind"
-    )
+_RELATION_KIND_OF_ENDPOINTS = {
+    (NodeKind.SYNSET, NodeKind.SYNSET): RelationKind.SYNSET_SYNSET,
+    (NodeKind.SEMEME, NodeKind.SEMEME): RelationKind.SEMEME_SEMEME,
+    (NodeKind.SYNSET, NodeKind.SEMEME): RelationKind.HAVE_SEMEME,
+}
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
+    """A (head, relation, tail) triplet, built and checked by :func:`make_triplet`."""
+
     head: NodeId
     relation: RelationId
     tail: NodeId
-
-    def __post_init__(self) -> None:
-        if self.relation.kind is RelationKind.EQUIVALENCE:
-            raise ValidationError("the equivalence relation never appears in triplets")
-        expected = _relation_kind_for(self.head, self.tail)
-        if self.relation.kind is not expected:
-            raise ValidationError(
-                f"relation {self.relation} does not match endpoints "
-                f"({self.head.kind.value}, {self.tail.kind.value})"
-            )
 
     @property
     def sort_key(self) -> tuple[str, str, str, str]:
@@ -190,7 +180,13 @@ def make_triplet(head: NodeId, relation_name: str, tail: NodeId) -> Triplet:
             f"relation name {EQUIVALENCE_RELATION_NAME!r} is reserved for the learned "
             "equivalence vector and cannot appear in data"
         )
-    kind = _relation_kind_for(head, tail)
+    kind = _RELATION_KIND_OF_ENDPOINTS.get((head.kind, tail.kind))
+    if kind is None:
+        raise ValidationError(
+            f"triplet with sememe head {head} and synset tail {tail} is not a legal kind"
+        )
+    if not relation_name:
+        raise ValidationError("relation name must be non-empty")
     return Triplet(head, RelationId(kind, relation_name), tail)
 
 
@@ -379,18 +375,30 @@ class TripletStore:
         """
         if min_node_degree < 0 or min_relation_count < 0:
             raise ConfigError("frequency thresholds must be >= 0")
-        store = self
-        while True:
-            bad_nodes = {n for n, d in store._degree.items() if d < min_node_degree}
-            bad_rels = {r for r, c in store._relation_count.items() if c < min_relation_count}
-            if not bad_nodes and not bad_rels:
-                return store
-            kept = [
-                t
-                for t in store._triplets
-                if t.head not in bad_nodes and t.tail not in bad_nodes and t.relation not in bad_rels
-            ]
-            store = store._substore(kept, (n for n in store._nodes if n not in bad_nodes))
+        # One peel: ``slack`` is each node's degree and each relation's count
+        # above its floor among the triplets left (a triplet iterates as its
+        # head, relation and tail); a key joins ``low`` once, when its slack
+        # first falls below zero, and then drops its triplets.
+        slack = {n: d - min_node_degree for n, d in self._degree.items()}
+        slack.update((r, c - min_relation_count) for r, c in self._relation_count.items())
+        low = [key for key, s in slack.items() if s < 0]
+        if not low:
+            return self
+        touching: dict[NodeId | RelationId, list[Triplet]] = {}
+        for t in self._triplets:
+            for key in t:
+                touching.setdefault(key, []).append(t)
+        dropped: set[Triplet] = set()
+        while low:
+            for t in touching.get(low.pop(), ()):
+                if t not in dropped:
+                    dropped.add(t)
+                    for key in t:
+                        slack[key] -= 1
+                        if slack[key] == -1:
+                            low.append(key)
+        kept = [t for t in self._triplets if t not in dropped]
+        return self._substore(kept, (n for n in self._nodes if slack[n] >= 0))
 
     def split_dataset(self, ratios: tuple[float, float, float], seed: int) -> "TripletStore":
         """Partition annotated synsets by ``ratios``; their have_sememe

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -501,6 +503,53 @@ def test_c7_pipeline_is_byte_deterministic(tmp_path):
         assert first[name] == second[name], f"artifact {name} differs between runs"
     assert len(first) >= 11
     _pass(f"C7 two identical pipeline runs produced {len(first)} byte-identical artifacts")
+
+
+_REPO = Path(__file__).resolve().parent.parent
+# Interns the node names listed in the file named by its first argument,
+# in that order, then runs the quick-start script with the other arguments.
+_INTERN_THEN_QUICK_START = """
+import runpy, sys
+from semepred import NodeId
+for name in open(sys.argv.pop(1), encoding="utf-8").read().split():
+    NodeId(name)
+sys.argv[0] = {script!r}
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def _quick_start(out: Path, names: Path) -> dict[str, bytes]:
+    script = _INTERN_THEN_QUICK_START.format(script=str(_REPO / "scripts" / "run_full_protocol.py"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", script, str(names), "--out", str(out), "--dimension", "16", "--epochs", "5"],
+        check=True, env=env, stdout=subprocess.DEVNULL,
+    )
+    return {
+        str(f.relative_to(out)): f.read_bytes()
+        for f in sorted(out.rglob("*"))
+        if f.is_file() and f.name != "config.resolved"
+    }
+
+
+def test_c7_artifacts_do_not_follow_id_allocation_order(tmp_path):
+    """Ids hash by address, so a run whose ids sit elsewhere in memory must
+    still write the same bytes: no artifact may follow a set's hash order."""
+    names = tmp_path / "names.txt"
+    names.write_text("", encoding="utf-8")
+    plain = _quick_start(tmp_path / "plain", names)
+    synth = tmp_path / "plain" / "synth"
+    nodes = {line.split("\t")[0] for line in (synth / "pos.tsv").read_text(encoding="utf-8").splitlines()}
+    for line in (synth / "triplets.tsv").read_text(encoding="utf-8").splitlines():
+        fields = line.split("\t")
+        nodes.update((fields[0], fields[2]))
+    names.write_text("\n".join(sorted(nodes, reverse=True)), encoding="utf-8")
+    reordered = _quick_start(tmp_path / "reordered", names)
+    assert plain.keys() == reordered.keys()
+    assert len(plain) >= 16
+    for name in plain:
+        assert plain[name] == reordered[name], f"artifact {name} follows id allocation order"
+    _pass(f"C7 {len(plain)} quick-start artifacts do not follow the order {len(nodes)} ids were interned in")
 
 
 # -- criterion 8: split protocol ---------------------------------------

@@ -255,6 +255,21 @@ class TestExitCodes:
         code = main(["synth", "--config", str(tmp_path / "absent.conf")])
         assert code == 1
 
+    def test_directory_config_file_returns_one(self, tmp_path, capsys):
+        code = main(["synth", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"config error: config file {tmp_path} is not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_is_not_a_directory_returns_one(self, tmp_path, capsys, below):
+        out = tmp_path / "afile"
+        out.write_text("", encoding="utf-8")
+        if below:
+            out = out / "sub"
+        code = main(["synth", "--out", str(out)])
+        assert code == 1
+        assert f"config error: out points to {out}, which is not a directory" in capsys.readouterr().err
+
     def test_bad_env_override_returns_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMEPRED_TYPO", "1")
         code = main(["synth", "--out", str(tmp_path / "out")])

@@ -102,6 +102,10 @@ class TestIds:
         with pytest.raises(ValidationError):
             RelationId.parse("rel:nope:antonym")
 
+    def test_relation_parse_rejects_an_empty_name(self):
+        with pytest.raises(ValidationError, match="^relation name must be non-empty$"):
+            RelationId.parse("rel:have:")
+
 
 class TestTriplet:
     def test_kind_inferred_from_endpoints(self):
@@ -119,6 +123,14 @@ class TestTriplet:
     def test_reserved_relation_name_rejected(self):
         with pytest.raises(ValidationError):
             make_triplet(synset_id("a"), EQUIVALENCE_RELATION_NAME, synset_id("b"))
+
+    def test_empty_relation_name_rejected(self):
+        with pytest.raises(ValidationError, match="^relation name must be non-empty$"):
+            make_triplet(synset_id("a"), "", sememe_id("p"))
+
+    def test_illegal_kind_is_reported_before_an_empty_name(self):
+        with pytest.raises(ValidationError, match="sememe head sem:p and synset tail syn:a is not a legal kind"):
+            make_triplet(sememe_id("p"), "", synset_id("a"))
 
 
 def _basic_triplets():
@@ -341,6 +353,20 @@ class TestFileFormats:
         path = tmp_path / "data.tsv"
         path.write_text("syn:a\thave_sememe\tsem:p\nsyn:b\tonly-two\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r":2"):
+            load_triplets(path)
+
+    def test_empty_relation_name_names_the_line(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("syn:a\thave_sememe\tsem:p\nsyn:b\t\tsem:p\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"data\.tsv:2: relation name must be non-empty$"):
+            load_triplets(path)
+
+    def test_illegal_kind_line_with_an_empty_name_reports_the_kind(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("sem:p\t\tsyn:a\n", encoding="utf-8")
+        with pytest.raises(
+            ValidationError, match=r"data\.tsv:1: triplet with sememe head sem:p and synset tail syn:a is not a legal kind"
+        ):
             load_triplets(path)
 
     def test_bad_split_label(self, tmp_path):

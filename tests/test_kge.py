@@ -158,6 +158,12 @@ class TestEmbeddingFile:
         with pytest.raises(ParseError, match=rf"embeddings\.tsv:3: {message}"):
             EmbeddingTable.load(path)
 
+    def test_empty_relation_name_names_the_line(self, tmp_path):
+        path = tmp_path / "embeddings.tsv"
+        path.write_text("D=2\nsyn:a\t1.0 0.5\nrel:have:\t1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"embeddings\.tsv:3: relation name must be non-empty$"):
+            EmbeddingTable.load(path)
+
 
 class TestScoreTriplet:
     def test_exact_translation_scores_zero(self):

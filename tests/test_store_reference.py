@@ -2,7 +2,7 @@
 
 The store now keeps three tables (triplet -> split, node -> degree,
 relation -> count) and reads every query from them, and its frequency
-filter builds one store per round from the last one's tables.  The
+filter peels each triplet once and builds one store at the end.  The
 reference below is the earlier class verbatim, with only its name
 changed: a dedupe dict, sets and tuples rebuilt per query, and a filter
 that recounts degrees and relation counts in a private loop.  Over
@@ -400,21 +400,31 @@ def test_random_graphs_cover_every_case():
     assert min(cases.values()) >= len(SEEDS) // 10, cases
 
 
-def test_thresholds_need_several_rounds(monkeypatch):
+def _rounds(ref: _ReferenceStore, min_node_degree: int, min_relation_count: int) -> tuple[int, _ReferenceStore]:
+    """Replays the round-by-round filter through the reference's queries:
+    each round drops every node and relation below its floor at once."""
+    rounds = 0
+    while True:
+        count = Counter(t.relation for t in ref.triplets)
+        bad = {n for n in ref.nodes if ref.degree(n) < min_node_degree}
+        bad |= {r for r in ref.relations if count[r] < min_relation_count}
+        if not bad:
+            return rounds, ref
+        rounds += 1
+        kept = [t for t in ref.triplets if not bad.intersection((t.head, t.relation, t.tail))]
+        pos = {n: p for n, p in ref.pos_tags().items() if n not in bad}
+        ref = _ReferenceStore(kept, pos, {t: ref.split_of(t) for t in kept})
+
+
+def test_thresholds_need_several_rounds():
     """Guards the test above: it must reach filters of two or more rounds."""
     rounds = []
-    substore = TripletStore._substore
-
-    def counting(self, keep, keep_nodes):
-        rounds[-1] += 1
-        return substore(self, keep, keep_nodes)
-
-    monkeypatch.setattr(TripletStore, "_substore", counting)
     for seed in SEEDS:
-        store, _ = _pair(seed)
+        _, ref = _pair(seed)
         for thresholds in THRESHOLDS:
-            rounds.append(0)
-            store.filter_low_frequency(*thresholds)
+            n, replayed = _rounds(ref, *thresholds)
+            assert replayed == ref.filter_low_frequency(*thresholds)
+            rounds.append(n)
     assert sum(r >= 2 for r in rounds) >= len(SEEDS)
     assert max(rounds) >= 3
 
