@@ -28,6 +28,7 @@ from .evaluation import (
     evaluate,
     f1_score,
     sememe_difficulty,
+    synset_outcomes,
 )
 from .fusion import (
     FusionConfig,
@@ -123,6 +124,7 @@ __all__ = [
     "sememe_difficulty",
     "sememe_id",
     "synset_id",
+    "synset_outcomes",
     "threshold_select",
     "train",
 ]

@@ -31,7 +31,6 @@ from .config import (
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, ContractError, CoverageError, SemepredError
 from .evaluation import (
-    BucketQuantity,
     bucket_analysis,
     evaluate,
     format_report_table,
@@ -39,6 +38,7 @@ from .evaluation import (
     save_difficulty_table,
     save_report_jsonl,
     sememe_difficulty,
+    synset_outcomes,
 )
 from .fusion import (
     PredictionResult,
@@ -233,18 +233,13 @@ def cmd_eval(settings: Settings) -> None:
 
 def cmd_analyze(settings: Settings) -> None:
     store = _load_dataset(settings)
-    split = Split(str(settings["analyze.split"]))
-    results = _load_results(settings)
-    specs = bucket_specs(settings)
+    outcomes = synset_outcomes(_load_results(settings), store, Split(str(settings["analyze.split"])))
+    # Every report is built before the first write, so a bad setting leaves no partial artifacts.
+    buckets = {q: bucket_analysis(outcomes, store, spec) for q, spec in bucket_specs(settings).items()}
+    easiest, hardest = sememe_difficulty(outcomes, int(settings["analyze.top_k"]))
     out = _out_dir(settings)
-    for quantity, filename in (
-        (BucketQuantity.SYNSET_DEGREE, "synset_degree.csv"),
-        (BucketQuantity.SEMEME_COUNT, "sememe_count.csv"),
-        (BucketQuantity.SEMEME_DEGREE, "sememe_degree.csv"),
-    ):
-        rows = bucket_analysis(results, store, split, specs[quantity])
-        save_bucket_csv(rows, out / filename)
-    easiest, hardest = sememe_difficulty(results, store, split, int(settings["analyze.top_k"]))
+    for quantity, rows in buckets.items():
+        save_bucket_csv(rows, out / f"{quantity.value}.csv")
     save_difficulty_table(easiest, hardest, out / "difficulty.tsv")
     settings.write_echo(out)
 

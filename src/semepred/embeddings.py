@@ -41,10 +41,11 @@ def write_vector_file(path: str | Path, dimension: int, rows: Iterable[tuple[str
 
 def read_vector_file(
     path: str | Path, parse_id: Callable[[str], K]
-) -> tuple[int, list[tuple[K, np.ndarray]]]:
-    """Rows of a vector file in file order, ids parsed by ``parse_id``;
-    ids it rejects with :class:`ValidationError`, malformed or non-finite
-    components and repeated ids fail naming ``path:line``."""
+) -> tuple[int, list[tuple[K, np.ndarray]], list[int]]:
+    """Rows of a vector file in file order, ids parsed by ``parse_id``,
+    and the line number of each row; ids it rejects with
+    :class:`ValidationError`, malformed or non-finite components and
+    repeated ids fail naming ``path:line``."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
         header = fh.readline().rstrip("\n")
@@ -54,6 +55,7 @@ def read_vector_file(
         if dimension <= 0:
             raise ParseError(f"{path}:1: dimension must be positive, got {dimension}")
         rows: list[tuple[K, np.ndarray]] = []
+        lines: list[int] = []
         seen: set[str] = set()
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
@@ -79,7 +81,8 @@ def read_vector_file(
                 rows.append((parse_id(fields[0]), vec))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return dimension, rows
+            lines.append(lineno)
+    return dimension, rows, lines
 
 
 @dataclass
@@ -157,7 +160,7 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        dimension, rows = read_vector_file(path, _parse_table_id)
+        dimension, rows, _ = read_vector_file(path, _parse_table_id)
         nodes: list[tuple[NodeId, np.ndarray]] = []
         relations: list[tuple[RelationId, np.ndarray]] = []
         for row_id, vec in rows:

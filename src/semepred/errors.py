@@ -32,6 +32,9 @@ class ContractError(SemepredError):
 class UnknownIdError(SemepredError, KeyError):
     """A node or relation id is absent from the queried structure."""
 
+    # KeyError's own __str__ quotes the message as if it were a key.
+    __str__ = Exception.__str__
+
 
 class CoverageError(SemepredError):
     """A target synset is not covered by the model being asked to score it."""

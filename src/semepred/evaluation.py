@@ -1,13 +1,14 @@
 """Metrics and analyses for sememe prediction runs.
 
-Per synset the harness computes average precision of the full ranking and
-the F1 of the thresholded selection; report scopes cover all synsets plus
-each POS tag.  Bucketed breakdowns group synsets by graph degree, gold
-sememe count, or the degrees of their gold sememes, and a difficulty
-table surfaces the easiest and hardest sememes.
+Each annotated synset of a split is scored once, into one outcome table:
+average precision of the full ranking and the F1 of the thresholded
+selection.  Every report groups that table: scopes cover all synsets
+plus each POS tag, bucketed breakdowns group synsets by graph degree,
+gold sememe count, or the degrees of their gold sememes, and a
+difficulty table surfaces the easiest and hardest sememes.
 
-All aggregation uses ``math.fsum`` over name-sorted synsets, so sums are
-exact and independent of input order.
+All aggregation uses ``math.fsum``, so sums are exact and independent of
+the order of a group.
 """
 
 from __future__ import annotations
@@ -75,49 +76,53 @@ class MetricsReport:
 
 
 @dataclass(frozen=True)
-class _SynsetOutcome:
+class SynsetOutcome:
+    """One annotated synset scored against its gold sememes.  A synset the
+    run supplied no result for is not ``covered`` and scores zero."""
+
+    gold: frozenset[NodeId]
+    covered: bool
     ap: float
     f1: float
     hits: int
     n_selected: int
-    n_gold: int
 
 
-def _per_synset_outcomes(
+def synset_outcomes(
     results: Mapping[NodeId, PredictionResult],
     store: TripletStore,
     split: Split,
-) -> tuple[dict[NodeId, _SynsetOutcome], tuple[NodeId, ...]]:
+) -> dict[NodeId, SynsetOutcome]:
+    """Every annotated synset of the split, scored once and keyed in name
+    order; each report below groups this table."""
     gold = store.annotation_map(split)
     if not gold:
         raise ContractError(f"the {split.value} split has no annotated synsets")
     extraneous = sorted(b.name for b in results if b not in gold)
     if extraneous:
         raise ContractError(f"results include synsets outside the {split.value} split: {extraneous[:3]}")
-    outcomes: dict[NodeId, _SynsetOutcome] = {}
-    uncovered: list[NodeId] = []
+    outcomes: dict[NodeId, SynsetOutcome] = {}
     for synset, gold_set in gold.items():
         result = results.get(synset)
         if result is None:
-            uncovered.append(synset)
-            outcomes[synset] = _SynsetOutcome(0.0, 0.0, 0, 0, len(gold_set))
+            outcomes[synset] = SynsetOutcome(gold_set, False, 0.0, 0.0, 0, 0)
             continue
         ap = average_precision(gold_set, result.ranking)
         f1 = f1_score(gold_set, result.selected)
-        outcomes[synset] = _SynsetOutcome(
-            ap, f1, len(gold_set & result.selected), len(result.selected), len(gold_set)
-        )
-    return outcomes, tuple(uncovered)
+        hits = len(gold_set & result.selected)
+        outcomes[synset] = SynsetOutcome(gold_set, True, ap, f1, hits, len(result.selected))
+    return outcomes
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+def _means(group: Sequence[SynsetOutcome]) -> tuple[float, float]:
+    """Macro MAP and F1 of a non-empty group."""
+    return math.fsum(o.ap for o in group) / len(group), math.fsum(o.f1 for o in group) / len(group)
 
 
-def _micro_f1(outcomes: Sequence[_SynsetOutcome]) -> float:
+def _micro_f1(outcomes: Sequence[SynsetOutcome]) -> float:
     hits = sum(o.hits for o in outcomes)
     n_selected = sum(o.n_selected for o in outcomes)
-    n_gold = sum(o.n_gold for o in outcomes)
+    n_gold = sum(len(o.gold) for o in outcomes)
     if hits == 0 or n_selected == 0 or n_gold == 0:
         return 0.0
     precision = hits / n_selected
@@ -140,17 +145,17 @@ def evaluate(
     """
     if f1_mode not in ("macro", "micro"):
         raise ConfigError(f"f1_mode must be macro or micro, got {f1_mode!r}")
-    outcomes, uncovered = _per_synset_outcomes(results, store, split)
-    scopes: dict[str, list[NodeId]] = {"all": list(outcomes)}
+    outcomes = synset_outcomes(results, store, split)
+    scopes: dict[str, list[SynsetOutcome]] = {"all": list(outcomes.values())}
     for pos in (Pos.NOUN, Pos.VERB, Pos.ADJ, Pos.ADV):
-        members = [b for b in outcomes if store.pos_of(b) is pos]
-        if members:
-            scopes[pos.value] = members
+        group = [o for b, o in outcomes.items() if store.pos_of(b) is pos]
+        if group:
+            scopes[pos.value] = group
     rows: dict[str, MetricsRow] = {}
-    for scope, members in scopes.items():
-        group = [outcomes[b] for b in members]
-        f1 = _mean([o.f1 for o in group]) if f1_mode == "macro" else _micro_f1(group)
-        rows[scope] = MetricsRow(len(group), _mean([o.ap for o in group]), f1)
+    for scope, group in scopes.items():
+        map_score, f1 = _means(group)
+        rows[scope] = MetricsRow(len(group), map_score, f1 if f1_mode == "macro" else _micro_f1(group))
+    uncovered = tuple(b for b, o in outcomes.items() if not o.covered)
     return MetricsReport(rows=rows, uncovered=uncovered)
 
 
@@ -214,52 +219,32 @@ class BucketRow:
 
 
 def bucket_analysis(
-    results: Mapping[NodeId, PredictionResult],
-    store: TripletStore,
-    split: Split,
-    spec: BucketSpec,
+    outcomes: Mapping[NodeId, SynsetOutcome], store: TripletStore, spec: BucketSpec
 ) -> list[BucketRow]:
-    """Per-bucket macro metrics for the split.
+    """Per-bucket macro metrics over a :func:`synset_outcomes` table.
 
-    For synset quantities a synset lands in one bucket and ``n`` counts
-    synsets.  For sememe degree a synset contributes to the bucket of each
-    of its gold sememes, and ``n`` counts the distinct gold sememes whose
-    degree falls in the bucket.  Empty buckets report n=0 and no metrics.
+    A synset joins each bucket that one of its counted keys falls in, and
+    ``n`` counts a bucket's distinct keys.  For synset quantities the key
+    is the synset; for sememe degree it is each gold sememe.  Empty
+    buckets report n=0 and no metrics.
     """
-    outcomes, _ = _per_synset_outcomes(results, store, split)
-    gold = store.annotation_map(split)
-    members: list[list[NodeId]] = [[] for _ in range(len(spec))]
-    counts: list[int]
-    if spec.quantity is BucketQuantity.SEMEME_DEGREE:
-        sememes_per_bucket: list[set[NodeId]] = [set() for _ in range(len(spec))]
-        seen_per_bucket: list[set[NodeId]] = [set() for _ in range(len(spec))]
-        for synset in outcomes:
-            for s in sorted(gold[synset], key=lambda n: n.name):
-                index = spec.bucket_of(store.degree(s))
-                sememes_per_bucket[index].add(s)
-                if synset not in seen_per_bucket[index]:
-                    seen_per_bucket[index].add(synset)
-                    members[index].append(synset)
-        counts = [len(group) for group in sememes_per_bucket]
-    else:
-        for synset in outcomes:
-            if spec.quantity is BucketQuantity.SYNSET_DEGREE:
-                value = store.degree(synset)
-            else:
-                value = len(gold[synset])
-            members[spec.bucket_of(value)].append(synset)
-        counts = [len(group) for group in members]
-    rows: list[BucketRow] = []
-    for index in range(len(spec)):
-        low, high = spec.bounds(index)
-        group = [outcomes[b] for b in members[index]]
-        if group:
-            map_score: float | None = _mean([o.ap for o in group])
-            f1: float | None = _mean([o.f1 for o in group])
+    members: list[dict[NodeId, SynsetOutcome]] = [{} for _ in range(len(spec))]
+    keys: list[set[NodeId]] = [set() for _ in range(len(spec))]
+    for synset, outcome in outcomes.items():
+        if spec.quantity is BucketQuantity.SEMEME_DEGREE:
+            pairs = {(spec.bucket_of(store.degree(s)), s) for s in outcome.gold}
+        elif spec.quantity is BucketQuantity.SYNSET_DEGREE:
+            pairs = {(spec.bucket_of(store.degree(synset)), synset)}
         else:
-            map_score = None
-            f1 = None
-        rows.append(BucketRow(spec.label(index), low, high, counts[index], map_score, f1))
+            pairs = {(spec.bucket_of(len(outcome.gold)), synset)}
+        for index, key in pairs:
+            members[index][synset] = outcome
+            keys[index].add(key)
+    rows: list[BucketRow] = []
+    for index, group in enumerate(members):
+        low, high = spec.bounds(index)
+        map_score, f1 = _means(list(group.values())) if group else (None, None)
+        rows.append(BucketRow(spec.label(index), low, high, len(keys[index]), map_score, f1))
     return rows
 
 
@@ -272,27 +257,21 @@ class SememeDifficulty:
 
 
 def sememe_difficulty(
-    results: Mapping[NodeId, PredictionResult],
-    store: TripletStore,
-    split: Split,
-    top_k: int,
+    outcomes: Mapping[NodeId, SynsetOutcome], top_k: int
 ) -> tuple[list[SememeDifficulty], list[SememeDifficulty]]:
-    """Easiest and hardest sememes by the average metrics of the synsets
-    annotated with them; ``n`` counts those synsets."""
+    """Easiest and hardest sememes by the average metrics, over a
+    :func:`synset_outcomes` table, of the synsets annotated with them;
+    ``n`` counts those synsets."""
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    outcomes, _ = _per_synset_outcomes(results, store, split)
-    gold = store.annotation_map(split)
-    synsets_of: dict[NodeId, list[NodeId]] = {}
-    for synset in outcomes:
-        for s in gold[synset]:
-            synsets_of.setdefault(s, []).append(synset)
-    entries: list[SememeDifficulty] = []
-    for s in sorted(synsets_of, key=lambda n: n.name):
-        group = [outcomes[b] for b in synsets_of[s]]
-        entries.append(
-            SememeDifficulty(s, len(group), _mean([o.ap for o in group]), _mean([o.f1 for o in group]))
-        )
+    groups: dict[NodeId, list[SynsetOutcome]] = {}
+    for outcome in outcomes.values():
+        for s in outcome.gold:
+            groups.setdefault(s, []).append(outcome)
+    entries = [
+        SememeDifficulty(s, len(groups[s]), *_means(groups[s]))
+        for s in sorted(groups, key=lambda n: n.name)
+    ]
     if top_k > len(entries):
         logger.warning(
             "top_k=%d exceeds the %d sememes with gold occurrences; truncating", top_k, len(entries)

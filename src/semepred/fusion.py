@@ -141,11 +141,9 @@ def save_predictions(results: Iterable[PredictionResult], path: str | Path) -> N
             fh.write(f"{result.target.name}\t{ranked}\t{chosen}\n")
 
 
-def load_predictions(
-    path: str | Path, provenance: Provenance = Provenance.FUSED
-) -> list[PredictionResult]:
-    """Read a prediction dump; the file does not record provenance, so the
-    caller supplies one label for all rows.  A target listed twice is a
+def load_predictions(path: str | Path) -> list[PredictionResult]:
+    """Read a prediction dump; the file does not record provenance, so
+    every row is labelled fused.  A target listed twice is a
     :class:`ParseError` naming both lines."""
     path = Path(path)
     results: list[PredictionResult] = []
@@ -175,7 +173,7 @@ def load_predictions(
                         entries.append((NodeId(name), score))
                 ranking = ScoredRanking(target, tuple(entries))
                 selected = frozenset(NodeId(name) for name in fields[2].split(",") if name)
-                results.append(PredictionResult(target, ranking, selected, provenance))
+                results.append(PredictionResult(target, ranking, selected, Provenance.FUSED))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return results

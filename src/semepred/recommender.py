@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import read_vector_file, write_vector_file
-from .errors import ConfigError, ContractError, CoverageError, ValidationError
+from .errors import ConfigError, ContractError, CoverageError, ParseError, ValidationError
 from .graph import NodeId, NodeKind
 from .ranking import ScoredRanking
 
@@ -51,7 +51,6 @@ class SemanticVectorStore:
     def __init__(self, dimension: int, vectors: Mapping[NodeId, np.ndarray]) -> None:
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
-        zero_ids = []
         for node, vec in vectors.items():
             if node.kind is not NodeKind.SYNSET:
                 raise ValidationError(f"semantic vectors are keyed by synset ids, got {node}")
@@ -61,10 +60,6 @@ class SemanticVectorStore:
                 )
             if not np.all(np.isfinite(vec)):
                 raise ValidationError(f"vector for {node} has non-finite components")
-            if not np.any(vec):
-                zero_ids.append(node.name)
-        if zero_ids:
-            raise ValidationError(f"zero vectors are not allowed: {sorted(zero_ids)}")
         self._dimension = dimension
         ordered = sorted(vectors.items(), key=lambda item: item[0].name)
         self._ids = tuple(node for node, _ in ordered)
@@ -73,14 +68,11 @@ class SemanticVectorStore:
             len(ordered), dimension
         )
         self._matrix.flags.writeable = False
-        # Finite nonzero components can still square past the float64 range.
-        with np.errstate(over="ignore"):
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        bad = ~(np.isfinite(self._norms) & (self._norms > 0))
-        if bad.any():
+        self._norms = _row_norms(self._matrix)
+        what, rejected = _rejected_rows(self._matrix, self._norms)
+        if rejected.any():
             raise ValidationError(
-                "vectors whose norm overflows or underflows are not allowed: "
-                f"{[self._ids[i].name for i in np.flatnonzero(bad)]}"
+                f"{what} are not allowed: {[self._ids[i].name for i in np.flatnonzero(rejected)]}"
             )
         self.unknown: tuple[NodeId, ...] = ()
 
@@ -108,8 +100,15 @@ class SemanticVectorStore:
     def load(
         cls, path: str | Path, known_synsets: Iterable[NodeId] | None = None
     ) -> "SemanticVectorStore":
-        dimension, rows = read_vector_file(path, _parse_synset_id)
-        store = cls(dimension, dict(rows))
+        dimension, rows, lines = read_vector_file(path, _parse_synset_id)
+        try:
+            store = cls(dimension, dict(rows))
+        except ValidationError as exc:
+            # The reader has checked ids, shapes and components, so a
+            # whole-row check failed: name the first such row in the file.
+            matrix = np.array([vec for _, vec in rows])
+            _, rejected = _rejected_rows(matrix, _row_norms(matrix))
+            raise ParseError(f"{path}:{lines[int(np.argmax(rejected))]}: {exc}") from exc
         if known_synsets is not None:
             known = set(known_synsets)
             store.unknown = tuple(n for n in store._ids if n not in known)
@@ -123,6 +122,21 @@ class SemanticVectorStore:
 
     def save(self, path: str | Path) -> None:
         write_vector_file(path, self._dimension, zip((n.name for n in self._ids), self._matrix))
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    # Finite nonzero components can still square past the float64 range.
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(matrix, axis=1)
+
+
+def _rejected_rows(matrix: np.ndarray, norms: np.ndarray) -> tuple[str, np.ndarray]:
+    """The rows no cosine exists for, as (what they are, row mask): zero
+    rows if there are any, else rows whose norm overflowed or underflowed."""
+    zero = ~matrix.any(axis=1)
+    if zero.any():
+        return "zero vectors", zero
+    return "vectors whose norm overflows or underflows", ~(np.isfinite(norms) & (norms > 0))
 
 
 def _parse_synset_id(text: str) -> NodeId:

@@ -309,6 +309,18 @@ class TestExitCodes:
         assert code == 2
         assert "predictions.tsv:2: duplicate prediction for syn:a, first on line 1" in capsys.readouterr().err
 
+    def test_analyze_config_error_writes_no_artifact(self, tmp_path, capsys):
+        data, dump, out = tmp_path / "data.tsv", tmp_path / "predictions.tsv", tmp_path / "out"
+        data.write_text("syn:a\thave_sememe\tsem:p\ttest\n")
+        dump.write_text("syn:a\tsem:p:1\tsem:p\n")
+        code = main([
+            "analyze", "--data", str(data), "--predictions", str(dump),
+            "--split", "test", "--out", str(out), "--set", "analyze.top_k=0",
+        ])
+        assert code == 1
+        assert "config error: top_k must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_non_utf8_data_file_returns_two(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"syn:a\trelated\tsyn:b\nsyn:c\trel\xffated\tsyn:d\n")

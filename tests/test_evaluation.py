@@ -28,6 +28,7 @@ from semepred import (
     sememe_difficulty,
     sememe_id,
     synset_id,
+    synset_outcomes,
 )
 from semepred.evaluation import (
     format_report_table,
@@ -271,7 +272,7 @@ class TestBucketAnalysis:
         }
         report = evaluate(results, store, Split.TEST)
         spec = BucketSpec(BucketQuantity.SYNSET_DEGREE, (0,))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         assert len(rows) == 1
         assert rows[0].n == report.rows["all"].n
         assert rows[0].map_score == report.rows["all"].map_score
@@ -289,7 +290,7 @@ class TestBucketAnalysis:
             synset_id("b2"): _result("b2", ["s2", "s3", "s1"], []),
         }
         spec = BucketSpec(BucketQuantity.SYNSET_DEGREE, (0, 4))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         # b1 has degree 3 (one have + two related), b2 degree 4.
         assert [row.n for row in rows] == [1, 1]
         np.testing.assert_allclose(rows[0].map_score, 1.0, rtol=0)
@@ -304,7 +305,7 @@ class TestBucketAnalysis:
             synset_id("b2"): _result("b2", ["s1", "s2", "s3"], []),
         }
         spec = BucketSpec(BucketQuantity.SEMEME_COUNT, (0, 2))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         assert [row.n for row in rows] == [1, 1]
         assert rows[0].map_score == 1.0
         assert rows[1].map_score == 1.0
@@ -314,7 +315,7 @@ class TestBucketAnalysis:
         store = _eval_store({"b1": ["s1"]})
         results = {synset_id("b1"): _result("b1", ["s1"], ["s1"])}
         spec = BucketSpec(BucketQuantity.SEMEME_COUNT, (0, 100))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         assert rows[1].n == 0
         assert rows[1].map_score is None
         assert rows[1].f1 is None
@@ -334,7 +335,7 @@ class TestBucketAnalysis:
             synset_id("b2"): _result("b2", ["s1", "s_lo"], []),
         }
         spec = BucketSpec(BucketQuantity.SEMEME_DEGREE, (0, 3))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         # degrees: s_lo = 2 (two have edges), s_hi = 4 (one have + three antonym).
         low, high = rows
         assert low.n == 1 and high.n == 1
@@ -346,7 +347,7 @@ class TestSememeDifficulty:
     def test_single_perfect_instance(self):
         store = _eval_store({"b1": ["s1"]})
         results = {synset_id("b1"): _result("b1", ["s1"], ["s1"])}
-        easiest, hardest = sememe_difficulty(results, store, Split.TEST, top_k=1)
+        easiest, hardest = sememe_difficulty(synset_outcomes(results, store, Split.TEST), top_k=1)
         assert easiest == hardest
         entry = easiest[0]
         assert entry.sememe == sememe_id("s1")
@@ -361,7 +362,7 @@ class TestSememeDifficulty:
             synset_id("b2"): _result("b2", ["s2", "f1", "f2", "s1"], ["s2"]),
             synset_id("b3"): _result("b3", ["s1", "s2"], []),
         }
-        easiest, hardest = sememe_difficulty(results, store, Split.TEST, top_k=2)
+        easiest, hardest = sememe_difficulty(synset_outcomes(results, store, Split.TEST), top_k=2)
         by_name = {e.sememe.name: e for e in easiest}
         # s1 occurs with b1 (AP 1.0) and b2 (gold at ranks 1 and 4: AP 0.75).
         np.testing.assert_allclose(by_name["sem:s1"].map_score, 0.875, rtol=0)
@@ -374,14 +375,14 @@ class TestSememeDifficulty:
         store = _eval_store({"b1": ["s1"]})
         results = {synset_id("b1"): _result("b1", ["s1"], ["s1"])}
         with caplog.at_level(logging.WARNING, logger="semepred.evaluation"):
-            easiest, hardest = sememe_difficulty(results, store, Split.TEST, top_k=10)
+            easiest, hardest = sememe_difficulty(synset_outcomes(results, store, Split.TEST), top_k=10)
         assert len(easiest) == len(hardest) == 1
         assert any("truncating" in r.message for r in caplog.records)
 
     def test_top_k_must_be_positive(self):
         store = _eval_store({"b1": ["s1"]})
         with pytest.raises(ConfigError):
-            sememe_difficulty({}, store, Split.TEST, top_k=0)
+            sememe_difficulty(synset_outcomes({}, store, Split.TEST), top_k=0)
 
 
 class TestReportOutputs:
@@ -415,7 +416,7 @@ class TestReportOutputs:
         store = _eval_store({"b1": ["s1"]})
         results = {synset_id("b1"): _result("b1", ["s1"], ["s1"])}
         spec = BucketSpec(BucketQuantity.SEMEME_COUNT, (0, 100))
-        rows = bucket_analysis(results, store, Split.TEST, spec)
+        rows = bucket_analysis(synset_outcomes(results, store, Split.TEST), store, spec)
         path = tmp_path / "buckets.csv"
         save_bucket_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -426,7 +427,7 @@ class TestReportOutputs:
     def test_difficulty_table(self, tmp_path):
         store = _eval_store({"b1": ["s1"]})
         results = {synset_id("b1"): _result("b1", ["s1"], ["s1"])}
-        easiest, hardest = sememe_difficulty(results, store, Split.TEST, top_k=1)
+        easiest, hardest = sememe_difficulty(synset_outcomes(results, store, Split.TEST), top_k=1)
         path = tmp_path / "difficulty.tsv"
         save_difficulty_table(easiest, hardest, path)
         lines = path.read_text().splitlines()

@@ -235,12 +235,6 @@ class TestPredictionDump:
             assert got.selected == want.selected
             assert got.provenance is Provenance.FUSED
 
-    def test_provenance_label_is_callers_choice(self, tmp_path):
-        path = tmp_path / "predictions.tsv"
-        save_predictions(self._results(), path)
-        loaded = load_predictions(path, provenance=Provenance.TRANSLATION)
-        assert all(r.provenance is Provenance.TRANSLATION for r in loaded)
-
     def test_selected_column_preserves_ranking_order(self, tmp_path):
         ranking = ScoredRanking(
             TARGET, ((sememe_id("s2"), 3.0), (sememe_id("s1"), 2.0), (sememe_id("s3"), 1.0))

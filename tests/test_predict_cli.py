@@ -7,6 +7,7 @@ for its coverage and provenance counts.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -264,3 +265,45 @@ class TestBadVectorFile:
                 "--out", str(workspace["root"] / "superscript")]
         assert main(argv) == 2
         assert f"error: {vectors}:1: expected a D=<dim> header" in capsys.readouterr().err
+
+
+class TestBadEmbeddings:
+    def test_missing_node_error_prints_unquoted(self, workspace, capsys):
+        missing = workspace["targets"][0]
+        embeddings = workspace["root"] / "short_embeddings.tsv"
+        lines = workspace["embeddings"].read_text(encoding="utf-8").splitlines(keepends=True)
+        embeddings.write_text(
+            "".join(line for line in lines if line.split("\t", 1)[0] != missing.name), encoding="utf-8"
+        )
+        argv = ["predict", "--data", str(workspace["data"]), "--pos", str(workspace["pos"]),
+                "--embeddings", str(embeddings), "--split", "test",
+                "--out", str(workspace["root"] / "short_embeddings")]
+        assert main(argv) == 2
+        assert f"error: no embedding for node {missing.name}" in capsys.readouterr().err.splitlines()
+
+
+class TestReportsIgnoreDumpOrder:
+    def _report(self, ws, command, dump_lines, name):
+        dump = ws["root"] / f"{name}.tsv"
+        dump.write_text("".join(dump_lines), encoding="utf-8")
+        out = ws["root"] / f"{name}_{command}"
+        assert main([command, "--data", str(ws["data"]), "--pos", str(ws["pos"]),
+                     "--predictions", str(dump), "--split", "test", "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "config.resolved"}
+
+    def _dump_rows(self, ws):
+        pred = _predict(ws, "dump_order", embeddings=True)
+        return (pred / "predictions.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_reversed_dump_writes_the_same_bytes(self, workspace, command):
+        rows = self._dump_rows(workspace)
+        assert len(rows) > 1
+        forward = self._report(workspace, command, rows, "forward")
+        assert forward
+        assert self._report(workspace, command, rows[::-1], "reversed") == forward
+
+    def test_dropped_row_is_one_uncovered_synset(self, workspace):
+        report = self._report(workspace, "eval", self._dump_rows(workspace)[1:], "dropped")["report.jsonl"]
+        last = json.loads(report.decode("utf-8").splitlines()[-1])
+        assert last == {"scope": "uncovered", "n": 1, "map": None, "f1": None}

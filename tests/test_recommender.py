@@ -188,6 +188,28 @@ class TestVectorStore:
             SemanticVectorStore(2, {n: np.array(v) for n, v in vectors.items()})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        ("body", "message"),
+        [
+            # Lines 3 and 4 are zero; the message lists both in name order.
+            ("syn:a\t1.0 0.5\nsyn:z\t0.0 0.0\nsyn:y\t0.0 -0.0\n",
+             "3: zero vectors are not allowed: ['syn:y', 'syn:z']"),
+            # The blank line 3 still counts, and syn:c comes first in the file.
+            ("syn:a\t1.0 0.5\n\nsyn:c\t1e200 1e200\nsyn:b\t1e-200 0\n",
+             "4: vectors whose norm overflows or underflows are not allowed: ['syn:b', 'syn:c']"),
+            # Zero rows are checked first, so the zero row is named.
+            ("syn:c\t1e200 1e200\nsyn:a\t1.0 0.5\nsyn:b\t0 0\n",
+             "4: zero vectors are not allowed: ['syn:b']"),
+        ],
+        ids=["zero", "norm", "zero-after-norm"],
+    )
+    def test_rejected_row_names_its_first_line(self, tmp_path, body, message):
+        path = tmp_path / "vectors.tsv"
+        path.write_text("D=2\n" + body)
+        with pytest.raises(ParseError) as info:
+            SemanticVectorStore.load(path)
+        assert str(info.value) == f"{path}:{message}"
+
     def test_duplicate_error_reads_exactly(self, tmp_path):
         path = tmp_path / "vectors.tsv"
         path.write_text("D=2\nsyn:a\t1.0 0.5\nsyn:a\t1.0 2.0\n")
