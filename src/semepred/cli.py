@@ -29,7 +29,7 @@ from .config import (
     train_config,
 )
 from .embeddings import EmbeddingTable
-from .errors import ConfigError, ContractError, CoverageError, SemepredError
+from .errors import ConfigError, ContractError, CoverageError, SemepredError, UnknownIdError
 from .evaluation import (
     bucket_analysis,
     evaluate,
@@ -185,7 +185,11 @@ def cmd_predict(settings: Settings) -> None:
             except CoverageError:
                 sr_uncovered += 1
         if table is not None:
-            translation = rank_sememes(table, target, candidates)
+            try:
+                translation = rank_sememes(table, target, candidates)
+            except UnknownIdError as exc:
+                dataset = settings["data.triplets"]
+                raise UnknownIdError(f"{exc}\n  {embeddings} has no row for it, but {dataset} names it") from exc
         if similarity is None and translation is None:
             logger.warning("skipping %s: no similarity coverage and no translation model", target)
             continue

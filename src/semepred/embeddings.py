@@ -8,8 +8,9 @@ save/load round trip reproduces the array bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -85,6 +86,12 @@ def read_vector_file(
     return dimension, rows, lines
 
 
+def stack_rows(rows: Sequence[tuple[object, np.ndarray]], dimension: int) -> np.ndarray:
+    """The vectors of ``(id, vector)`` rows as one ``(len(rows), dimension)``
+    float64 matrix, ``(0, dimension)`` when there are no rows."""
+    return np.array([vec for _, vec in rows], dtype=np.float64).reshape(len(rows), dimension)
+
+
 @dataclass
 class EmbeddingTable:
     """Dense embeddings addressed by node and relation ids.
@@ -151,33 +158,20 @@ class EmbeddingTable:
         raise UnknownIdError("table has no synset-sememe relation")
 
     def save(self, path: str | Path) -> None:
-        rows: list[tuple[str, np.ndarray]] = []
-        for i, n in enumerate(self.node_ids):
-            rows.append((n.name, self.node_matrix[i]))
-        for i, r in enumerate(self.relation_ids):
-            rows.append((r.serialized, self.relation_matrix[i]))
-        write_vector_file(path, self.dimension, rows)
+        names = [n.name for n in self.node_ids] + [r.serialized for r in self.relation_ids]
+        write_vector_file(path, self.dimension, zip(names, chain(self.node_matrix, self.relation_matrix)))
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
         dimension, rows, _ = read_vector_file(path, _parse_table_id)
-        nodes: list[tuple[NodeId, np.ndarray]] = []
-        relations: list[tuple[RelationId, np.ndarray]] = []
-        for row_id, vec in rows:
-            if isinstance(row_id, RelationId):
-                relations.append((row_id, vec))
-            else:
-                nodes.append((row_id, vec))
-        nodes.sort(key=lambda item: item[0].name)
-        relations.sort(key=lambda item: item[0].sort_key)
+        nodes = sorted((r for r in rows if isinstance(r[0], NodeId)), key=lambda r: r[0].name)
+        relations = sorted((r for r in rows if isinstance(r[0], RelationId)), key=lambda r: r[0].sort_key)
         return cls(
             dimension=dimension,
             node_ids=tuple(n for n, _ in nodes),
             relation_ids=tuple(r for r, _ in relations),
-            node_matrix=np.array([v for _, v in nodes], dtype=np.float64).reshape(len(nodes), dimension),
-            relation_matrix=np.array([v for _, v in relations], dtype=np.float64).reshape(
-                len(relations), dimension
-            ),
+            node_matrix=stack_rows(nodes, dimension),
+            relation_matrix=stack_rows(relations, dimension),
         )
 
 

@@ -49,13 +49,14 @@ def f1_score(gold: Iterable[NodeId], selected: Iterable[NodeId]) -> float:
     if not gold_set:
         raise ContractError("empty gold set")
     selected_set = set(selected)
-    if not selected_set:
+    return _f1(len(gold_set & selected_set), len(selected_set), len(gold_set))
+
+
+def _f1(hits: int, n_selected: int, n_gold: int) -> float:
+    if hits == 0 or n_selected == 0 or n_gold == 0:
         return 0.0
-    hits = len(gold_set & selected_set)
-    if hits == 0:
-        return 0.0
-    precision = hits / len(selected_set)
-    recall = hits / len(gold_set)
+    precision = hits / n_selected
+    recall = hits / n_gold
     return 2.0 * precision * recall / (precision + recall)
 
 
@@ -108,9 +109,9 @@ def synset_outcomes(
             outcomes[synset] = SynsetOutcome(gold_set, False, 0.0, 0.0, 0, 0)
             continue
         ap = average_precision(gold_set, result.ranking)
-        f1 = f1_score(gold_set, result.selected)
-        hits = len(gold_set & result.selected)
-        outcomes[synset] = SynsetOutcome(gold_set, True, ap, f1, hits, len(result.selected))
+        hits, n_selected = len(gold_set & result.selected), len(result.selected)
+        f1 = _f1(hits, n_selected, len(gold_set))
+        outcomes[synset] = SynsetOutcome(gold_set, True, ap, f1, hits, n_selected)
     return outcomes
 
 
@@ -123,11 +124,7 @@ def _micro_f1(outcomes: Sequence[SynsetOutcome]) -> float:
     hits = sum(o.hits for o in outcomes)
     n_selected = sum(o.n_selected for o in outcomes)
     n_gold = sum(len(o.gold) for o in outcomes)
-    if hits == 0 or n_selected == 0 or n_gold == 0:
-        return 0.0
-    precision = hits / n_selected
-    recall = hits / n_gold
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(hits, n_selected, n_gold)
 
 
 def evaluate(

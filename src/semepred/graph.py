@@ -66,6 +66,8 @@ _KIND_OF_PREFIX = {kind.value + ":": kind for kind in NodeKind}
 class NodeId:
     """A node id: ``syn:`` or ``sem:``, which is its kind, then a non-empty
     name, e.g. ``"syn:bn:00045106n"``; sorting by ``name`` is total and stable.
+    The name holds no ``,`` (the prediction dump's separator), no whitespace
+    and no non-printable character.
 
     Ids are interned, one instance per name, so they compare and hash by
     identity, in C.  The table is never pruned: an id keeps its hash, and a
@@ -80,6 +82,11 @@ class NodeId:
         if node is None:
             if name[:4] not in _KIND_OF_PREFIX or len(name) == 4:
                 raise ValidationError(f"node id {name!r} lacks a syn:/sem: prefix or a name after it")
+            # isprintable() is False for every whitespace character but " ".
+            if not name.isprintable() or " " in name or "," in name:
+                raise ValidationError(
+                    f"node id {name!r} holds a comma, whitespace or a non-printable character"
+                )
             node = object.__new__(cls)
             object.__setattr__(node, "name", name)
             cls._interned[name] = node

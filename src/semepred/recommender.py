@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import read_vector_file, write_vector_file
+from .embeddings import read_vector_file, stack_rows, write_vector_file
 from .errors import ConfigError, ContractError, CoverageError, ParseError, ValidationError
 from .graph import NodeId, NodeKind
 from .ranking import ScoredRanking
@@ -64,9 +64,7 @@ class SemanticVectorStore:
         ordered = sorted(vectors.items(), key=lambda item: item[0].name)
         self._ids = tuple(node for node, _ in ordered)
         self._row = {node: i for i, node in enumerate(self._ids)}
-        self._matrix = np.array([vec for _, vec in ordered], dtype=np.float64).reshape(
-            len(ordered), dimension
-        )
+        self._matrix = stack_rows(ordered, dimension)
         self._matrix.flags.writeable = False
         self._norms = _row_norms(self._matrix)
         what, rejected = _rejected_rows(self._matrix, self._norms)
@@ -106,7 +104,7 @@ class SemanticVectorStore:
         except ValidationError as exc:
             # The reader has checked ids, shapes and components, so a
             # whole-row check failed: name the first such row in the file.
-            matrix = np.array([vec for _, vec in rows])
+            matrix = stack_rows(rows, dimension)
             _, rejected = _rejected_rows(matrix, _row_norms(matrix))
             raise ParseError(f"{path}:{lines[int(np.argmax(rejected))]}: {exc}") from exc
         if known_synsets is not None:

@@ -328,6 +328,15 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {path}:2: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sem:s0,00", "sem:a b", "sem:a\x07b"])
+    def test_id_outside_the_grammar_names_the_line(self, tmp_path, capsys, name):
+        # A "," would split the sememe in two in the prediction dump.
+        path = tmp_path / "triplets.tsv"
+        path.write_text(f"syn:a\thave_sememe\tsem:p\nsyn:b\thave_sememe\t{name}\n", encoding="utf-8")
+        code = main(["prepare", "--triplets", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {path}:2: node id {name!r} holds a comma" in capsys.readouterr().err
+
     def test_non_utf8_config_file_returns_one(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
         path.write_bytes(b"seed = 1\n# caf\xe9\n")

@@ -33,6 +33,12 @@ from semepred.graph import (
     save_pos_tags,
 )
 
+# The node-name grammar: printable characters other than whitespace and ",".
+# Unicode's "other" (C*) and "separator" (Z*) categories are exactly what
+# str.isprintable() rejects, bar the ASCII space.
+GRAMMAR_CHARS = st.characters(exclude_categories=("C", "Z"), exclude_characters=",")
+OUTSIDE_GRAMMAR_CHARS = st.characters(categories=("C", "Z")) | st.just(",")
+
 
 class TestIds:
     def test_parse_prefixes(self):
@@ -58,10 +64,17 @@ class TestIds:
         assert NodeId("syn:a") != "syn:a"
         assert "syn:a" != NodeId("syn:a")
 
-    @given(st.sampled_from(["syn:", "sem:"]), st.text(min_size=1))
+    @given(st.sampled_from(["syn:", "sem:"]), st.text(GRAMMAR_CHARS, min_size=1))
     def test_parse_round_trip(self, prefix, rest):
         node = NodeId(prefix + rest)
         assert NodeId.parse(str(node)) == node
+
+    @given(st.sampled_from(["syn:", "sem:"]), st.text(GRAMMAR_CHARS), OUTSIDE_GRAMMAR_CHARS, st.data())
+    def test_name_outside_the_grammar_rejected(self, prefix, rest, bad, data):
+        at = data.draw(st.integers(0, len(rest)))
+        name = prefix + rest[:at] + bad + rest[at:]
+        with pytest.raises(ValidationError, match="holds a comma, whitespace or a non-printable character"):
+            NodeId(name)
 
     def test_one_instance_per_name(self):
         assert NodeId("syn:a") is NodeId.parse("syn:a")

@@ -165,6 +165,32 @@ class TestEmbeddingFile:
             EmbeddingTable.load(path)
 
 
+    def test_round_trip_is_order_free_and_bit_exact(self, tmp_path, toy_store):
+        table = train(toy_store, TrainConfig(dimension=8, epochs=3, batch_size=4, seed=2)).table
+        saved, shuffled, again = tmp_path / "saved.tsv", tmp_path / "shuffled.tsv", tmp_path / "again.tsv"
+        table.save(saved)
+        header, *rows = saved.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(0).shuffle(rows)
+        shuffled.write_text(header + "".join(rows), encoding="utf-8")
+        assert shuffled.read_bytes() != saved.read_bytes()
+        loaded = EmbeddingTable.load(shuffled)
+        assert loaded.node_ids == table.node_ids
+        assert loaded.relation_ids == table.relation_ids
+        assert loaded.node_matrix.tobytes() == table.node_matrix.tobytes()
+        assert loaded.relation_matrix.tobytes() == table.relation_matrix.tobytes()
+        loaded.save(again)
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_table_without_relations_loads_an_empty_relation_matrix(self, tmp_path):
+        table = build_table(3, {synset_id("a"): [1.0, 2.0, 3.0]}, {}, include_equivalence=False)
+        table.save(tmp_path / "embeddings.tsv")
+        loaded = EmbeddingTable.load(tmp_path / "embeddings.tsv")
+        assert loaded.relation_ids == ()
+        assert loaded.relation_matrix.shape == (0, 3)
+        assert loaded.relation_matrix.dtype == np.float64
+        np.testing.assert_array_equal(loaded.node_matrix, [[1.0, 2.0, 3.0]])
+
+
 class TestScoreTriplet:
     def test_exact_translation_scores_zero(self):
         a, b = synset_id("a"), synset_id("b")

@@ -281,6 +281,21 @@ class TestBadEmbeddings:
         assert main(argv) == 2
         assert f"error: no embedding for node {missing.name}" in capsys.readouterr().err.splitlines()
 
+    def test_sememe_missing_from_embeddings_names_both_files(self, workspace, capsys):
+        synset = next(iter(workspace["store"].annotation_map(Split.TRAIN)))
+        data = workspace["root"] / "new_sememe_dataset.tsv"
+        data.write_text(
+            workspace["data"].read_text(encoding="utf-8") + f"{synset.name}\thave_sememe\tsem:newone\ttrain\n",
+            encoding="utf-8",
+        )
+        argv = ["predict", "--data", str(data), "--pos", str(workspace["pos"]),
+                "--embeddings", str(workspace["embeddings"]), "--split", "test",
+                "--out", str(workspace["root"] / "new_sememe")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: no embedding for node sem:newone" in err.splitlines()
+        assert f"{workspace['embeddings']} has no row for it, but {data} names it" in err
+
 
 class TestReportsIgnoreDumpOrder:
     def _report(self, ws, command, dump_lines, name):
