@@ -153,21 +153,21 @@ def cmd_predict(settings: Settings) -> None:
     scfg = sr_config(settings)
 
     embeddings = _optional_path(settings, "data.embeddings")
-    table = EmbeddingTable.load(embeddings) if embeddings else None
     vectors_path = _optional_path(settings, "data.vectors")
-    vectors = SemanticVectorStore.load(vectors_path, known_synsets=store.synsets) if vectors_path else None
     # A single model is the fusion with the other model's weight at 0,
-    # computed from its own input alone.
+    # computed from its own input alone; the other input is not read.
     if model == "similarity":
-        if vectors is None:
+        if vectors_path is None:
             raise ContractError("predict.model=similarity needs data.vectors")
-        table, fcfg = None, replace(fcfg, similarity_weight=1.0, translation_weight=0.0)
+        embeddings, fcfg = None, replace(fcfg, similarity_weight=1.0, translation_weight=0.0)
     elif model == "translation":
-        if table is None:
+        if embeddings is None:
             raise ContractError("predict.model=translation needs data.embeddings")
-        vectors, fcfg = None, replace(fcfg, similarity_weight=0.0, translation_weight=1.0)
-    elif table is None and vectors is None:
+        vectors_path, fcfg = None, replace(fcfg, similarity_weight=0.0, translation_weight=1.0)
+    elif embeddings is None and vectors_path is None:
         raise ContractError("no model inputs: set data.embeddings and/or data.vectors")
+    table = EmbeddingTable.load(embeddings) if embeddings else None
+    vectors = SemanticVectorStore.load(vectors_path, known_synsets=store.synsets) if vectors_path else None
     raw_scores = bool(settings["fusion.raw_scores"]) and model != "fused"
 
     targets = store.annotation_map(split)

@@ -87,7 +87,8 @@ def fuse(
     if not present:
         raise ContractError("fusion needs at least one ranking")
     if similarity is not None and translation is not None:
-        sim_set, tr_set = set(similarity.sememes()), set(translation.sememes())
+        sim_set = {s for s, _ in similarity.entries}
+        tr_set = {s for s, _ in translation.entries}
         if sim_set != tr_set:
             only_sim = sorted(s.name for s in sim_set - tr_set)
             only_tr = sorted(s.name for s in tr_set - sim_set)
@@ -106,9 +107,9 @@ def fuse(
             f"so every sememe would score 0"
         )
     (first, weight, _), *rest = present
-    scores = {s: weight / rank for rank, s in enumerate(first.sememes(), start=1)}
+    scores = {s: weight / rank for rank, (s, _) in enumerate(first.entries, start=1)}
     for ranking, weight, _ in rest:
-        for rank, s in enumerate(ranking.sememes(), start=1):
+        for rank, (s, _) in enumerate(ranking.entries, start=1):
             scores[s] += weight / rank
     return ScoredRanking.from_scores(first.target, scores)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -447,18 +448,30 @@ def rank_sememes(
     """Rank candidate sememes for ``target`` by tail completion.
 
     The score of sememe ``s`` is the negated squared distance between
-    ``target + r_have`` and ``s``, so closer sememes rank higher.
+    ``target + r_have`` and ``s``, so closer sememes rank higher.  The
+    sorted candidates and their row indices are kept on ``table`` for the
+    last candidate set seen, compared by value; the rows themselves are
+    read on every call, because training updates the matrix in place.
     """
     if target.kind is not NodeKind.SYNSET:
         raise ContractError(f"prediction target must be a synset, got {target}")
-    ranked = sorted(set(candidates), key=lambda s: s.name)
-    if not ranked:
-        raise ContractError(f"empty candidate set for {target}")
-    for s in ranked:
-        if s.kind is not NodeKind.SEMEME:
-            raise ContractError(f"candidate {s} is not a sememe")
+    key = frozenset(candidates)
+    memo = table._candidate_rows
+    hit = memo is not None and memo[0] == key
+    if not hit:
+        ranked = sorted(key, key=operator.attrgetter("name"))
+        if not ranked:
+            raise ContractError(f"empty candidate set for {target}")
+        for s in ranked:
+            if s.kind is not NodeKind.SEMEME:
+                raise ContractError(f"candidate {s} is not a sememe")
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
-    rows = table.node_matrix[[table.node_index(s) for s in ranked]]
-    diff = rows - query[None, :]
+    if hit:
+        _, ranked, indices = memo
+    else:
+        # Looked up after the target, so a target without a row is named first.
+        indices = np.array([table.node_index(s) for s in ranked], dtype=np.intp)
+        table._candidate_rows = key, ranked, indices
+    diff = table.node_matrix[indices] - query[None, :]
     scores = -np.einsum("ij,ij->i", diff, diff)
     return ScoredRanking.from_scores(target, dict(zip(ranked, scores.tolist())))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -41,10 +42,22 @@ class ScoredRanking:
 
     @classmethod
     def from_scores(cls, target: NodeId, scores: Mapping[NodeId, float]) -> "ScoredRanking":
-        ranked = sorted(scores, key=lambda s: s.name)
+        """The ranking of ``scores``, sorted here.
+
+        Mapping keys are unique and the sort below produces the order, so
+        only the non-finite check of the constructor runs; when it fails,
+        the constructor is called to name the offending sememes.
+        """
+        ranked = sorted(scores, key=operator.attrgetter("name"))
         # A stable descending sort keeps equal scores in name order.
         ranked.sort(key=scores.__getitem__, reverse=True)
-        return cls(target, tuple((s, scores[s]) for s in ranked))
+        entries = tuple((s, scores[s]) for s in ranked)
+        if not all(map(math.isfinite, scores.values())):
+            return cls(target, entries)
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "target", target)
+        object.__setattr__(ranking, "entries", entries)
+        return ranking
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -46,6 +46,8 @@ class SemanticVectorStore:
     similarity is undefined for them.  The vectors are held as one
     read-only matrix with a row per synset in name order, next to its row
     norms, both computed once here and shared by every neighbour search.
+    The rows of the last annotated set searched are kept gathered, since
+    one prediction run searches the same set for every target.
     """
 
     def __init__(self, dimension: int, vectors: Mapping[NodeId, np.ndarray]) -> None:
@@ -73,6 +75,7 @@ class SemanticVectorStore:
                 f"{what} are not allowed: {[self._ids[i].name for i in np.flatnonzero(rejected)]}"
             )
         self.unknown: tuple[NodeId, ...] = ()
+        self._block: tuple[frozenset[NodeId], np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def dimension(self) -> int:
@@ -86,6 +89,16 @@ class SemanticVectorStore:
 
     def synsets(self) -> tuple[NodeId, ...]:
         return self._ids
+
+    def _annotated_block(self, annotated: Iterable[NodeId]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, vectors and norms of the annotated synsets that have a
+        vector, in name order.  Kept for the last annotated set, compared
+        by value, so a changed set is gathered again."""
+        key = frozenset(annotated)
+        if self._block is None or self._block[0] != key:
+            rows = np.array(sorted(self._row[n] for n in key if n in self._row), dtype=np.intp)
+            self._block = key, rows, self._matrix[rows], self._norms[rows]
+        return self._block[1:]
 
     def vector(self, node: NodeId) -> np.ndarray:
         """The synset's row, a read-only view."""
@@ -145,27 +158,41 @@ def _parse_synset_id(text: str) -> NodeId:
 
 
 def rank_neighbors(
-    store: SemanticVectorStore, target: NodeId, annotated: Iterable[NodeId]
+    store: SemanticVectorStore,
+    target: NodeId,
+    annotated: Iterable[NodeId],
+    limit: int | None = None,
 ) -> list[tuple[NodeId, float]]:
     """Annotated synsets with vectors, sorted by cosine to ``target``.
 
     Descending cosine with lexicographic tie-breaking; the target never
     appears in its own neighbor list.  One matrix-vector product over the
-    store's rows for ``annotated`` computes every cosine.  Raises
-    :class:`CoverageError` when the target has no vector or no annotated
-    synset does, in which case the caller falls back to translation-only
-    prediction.
+    store's gathered rows for ``annotated`` computes every cosine.  With a
+    ``limit``, only the first ``limit`` neighbors are returned, the same
+    ones as the head of the full list.  Raises :class:`CoverageError` when
+    the target has no vector or no annotated synset does, in which case
+    the caller falls back to translation-only prediction.
     """
+    if limit is not None and limit < 1:
+        raise ContractError(f"limit must be >= 1 or None, got {limit}")
     query = store.vector(target)
-    row_of = store._row
-    rows = np.array(
-        sorted(row_of[n] for n in set(annotated) if n is not target and n in row_of), dtype=np.intp
-    )
+    rows, block, norms = store._annotated_block(annotated)
+    sims = block @ query / (norms * np.linalg.norm(query))
+    own = store._row[target]
+    at = np.searchsorted(rows, own)
+    if at < rows.size and rows[at] == own:
+        rows, sims = np.delete(rows, at), np.delete(sims, at)
     if not rows.size:
         raise CoverageError(f"no annotated synset has a semantic vector to compare with {target}")
-    sims = store._matrix[rows] @ query / (store._norms[rows] * np.linalg.norm(query))
+    if limit is not None and limit < rows.size:
+        # Keep every row tied with the limit-th cosine, so that name order
+        # decides among them as in the full sort; written as "not below"
+        # so that a NaN cosine is kept and sorted last there too.
+        cut = -np.partition(-sims, limit - 1)[limit - 1]
+        keep = np.flatnonzero(~(sims < cut))
+        rows, sims = rows[keep], sims[keep]
     # Rows are in name order, so a stable sort breaks cosine ties by name.
-    order = np.argsort(-sims, kind="stable")
+    order = np.argsort(-sims, kind="stable")[:limit]
     ids = store._ids
     return [(ids[row], cos) for row, cos in zip(rows[order].tolist(), sims[order].tolist())]
 
@@ -188,12 +215,10 @@ def score_sememes(
     if not neighbors:
         raise ContractError(f"no neighbors to aggregate for {target}")
     capped = neighbors if config.neighbor_cap is None else neighbors[: config.neighbor_cap]
-    scores: dict[NodeId, float] = {}
-    if candidates is not None:
-        for s in candidates:
-            if s.kind is not NodeKind.SEMEME:
-                raise ContractError(f"candidate {s} is not a sememe")
-            scores[s] = 0.0
+    scores: dict[NodeId, float] = {} if candidates is None else dict.fromkeys(candidates, 0.0)
+    for s in scores:
+        if s.kind is not NodeKind.SEMEME:
+            raise ContractError(f"candidate {s} is not a sememe")
     for rank, (neighbor, cos) in enumerate(capped, start=1):
         if neighbor not in annotations:
             raise ContractError(f"neighbor {neighbor} has no annotation entry")
@@ -211,5 +236,5 @@ def recommend(
     candidates: Iterable[NodeId] | None = None,
 ) -> ScoredRanking:
     """Neighbor ranking and sememe scoring in one call."""
-    neighbors = rank_neighbors(store, target, annotations.keys())
+    neighbors = rank_neighbors(store, target, annotations.keys(), limit=config.neighbor_cap)
     return score_sememes(target, neighbors, annotations, config, candidates)

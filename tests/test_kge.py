@@ -653,6 +653,49 @@ class TestRankSememes:
         with pytest.raises(ValidationError, match="syn:b"):
             rank_sememes(table, b, [p, q])
 
+    def _random_table(self):
+        rng = np.random.default_rng(5)
+        have = RelationId(RelationKind.HAVE_SEMEME, "have_sememe")
+        nodes = {synset_id(f"b{i}"): rng.normal(size=3) for i in range(3)}
+        nodes.update({sememe_id(f"s{i}"): rng.normal(size=3) for i in range(6)})
+        return nodes, {have: rng.normal(size=3)}
+
+    def test_changed_candidate_set_is_ranked_anew(self):
+        # The candidate rows are kept on the table between calls, so they
+        # must follow the candidate set's value.
+        nodes, relations = self._random_table()
+        table = build_table(3, nodes, relations)
+        wide = [sememe_id(f"s{i}") for i in range(6)]
+        narrow = [sememe_id(f"s{i}") for i in (4, 1, 2)]
+        for target, candidates in [("b0", wide), ("b1", narrow), ("b2", wide), ("b0", narrow)]:
+            target = synset_id(target)
+            assert rank_sememes(table, target, candidates) == rank_sememes(
+                build_table(3, nodes, relations), target, candidates
+            )
+        # The same list object, one candidate longer.
+        narrow.append(sememe_id("s0"))
+        assert rank_sememes(table, synset_id("b1"), narrow) == rank_sememes(
+            build_table(3, nodes, relations), synset_id("b1"), narrow
+        )
+
+    def test_in_place_training_update_is_seen(self):
+        nodes, relations = self._random_table()
+        table = build_table(3, nodes, relations)
+        candidates = [sememe_id(f"s{i}") for i in range(6)]
+        before = rank_sememes(table, synset_id("b0"), candidates)
+        table.node_matrix[:] *= np.linspace(0.5, 3.0, len(table.node_ids))[:, None]
+        after = rank_sememes(table, synset_id("b0"), candidates)
+        fresh = build_table(3, dict(zip(table.node_ids, table.node_matrix)), relations)
+        assert after == rank_sememes(fresh, synset_id("b0"), candidates)
+        assert after != before
+
+    def test_rejected_candidate_set_is_rejected_every_time(self, toy_store):
+        table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=0))
+        candidates = [sememe_id("p"), synset_id("b")]
+        for _ in range(2):
+            with pytest.raises(ContractError, match="candidate syn:b is not a sememe"):
+                rank_sememes(table, synset_id("a"), candidates)
+
     def test_equidistant_candidates_tie_break_by_name(self):
         b = synset_id("b")
         p, q = sememe_id("p"), sememe_id("q")

@@ -194,6 +194,33 @@ class TestSingleModels:
         _check_dump(out, covered)
         _check_summary(out, len(rankings), len(rankings) - len(covered), similarity=len(covered))
 
+    @pytest.mark.parametrize(
+        ("model", "unused", "key"),
+        [("translation", SemanticVectorStore, "data.vectors"), ("similarity", EmbeddingTable, "data.embeddings")],
+    )
+    def test_other_model_input_is_checked_but_not_loaded(self, workspace, monkeypatch, capsys, model, unused, key):
+        used = EmbeddingTable if unused is SemanticVectorStore else SemanticVectorStore
+        calls = {EmbeddingTable: 0, SemanticVectorStore: 0}
+
+        def spy(cls):
+            load = cls.load
+
+            def counted(*args, **kwargs):
+                calls[cls] += 1
+                return load(*args, **kwargs)
+
+            return counted
+
+        for cls in calls:
+            monkeypatch.setattr(cls, "load", spy(cls))
+        _predict(workspace, f"{model}_alone", embeddings=True, vectors="vectors", model=model)
+        assert calls == {used: 1, unused: 0}
+        # The unused path is still a setting that must name a file.
+        _predict(workspace, f"{model}_dir", embeddings=used is EmbeddingTable,
+                 vectors="vectors" if used is SemanticVectorStore else None, model=model,
+                 sets=[f"{key}={workspace['root']}"], exit_code=1)
+        assert f"{key} points to {workspace['root']}, which is not a regular file" in capsys.readouterr().err
+
 
 class TestFusedInputs:
     def test_embeddings_only_is_translation_at_its_weight(self, workspace):

@@ -23,6 +23,7 @@ from semepred import (
     fuse,
     rank_neighbors,
     rank_sememes,
+    recommend,
     score_sememes,
     sememe_id,
     synset_id,
@@ -182,13 +183,18 @@ def _case(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rank_neighbors_matches_reference(seed):
     _, store, target, annotations, _ = _case(seed)
+    # A limit returns the head of the full list; 1 and 3 cut inside it
+    # (and often inside a tie), 1000 lies past its end.
+    limits = [None, 1, 3, 1000]
     try:
         expected = _reference_rank_neighbors(store, target, annotations.keys())
     except CoverageError as exc:
-        with pytest.raises(CoverageError, match=str(exc)):
-            rank_neighbors(store, target, annotations.keys())
+        for limit in limits:
+            with pytest.raises(CoverageError, match=str(exc)):
+                rank_neighbors(store, target, annotations.keys(), limit=limit)
         return
-    _assert_same(rank_neighbors(store, target, annotations.keys()), expected)
+    for limit in limits:
+        _assert_same(rank_neighbors(store, target, annotations.keys(), limit=limit), expected[:limit])
 
 
 def test_rank_neighbors_breaks_forced_ties_like_reference():
@@ -210,6 +216,11 @@ def test_rank_neighbors_breaks_forced_ties_like_reference():
     _assert_same(pairs, _reference_rank_neighbors(store, synset_id("t"), annotated))
     assert [n.name for n, _ in pairs[:4]] == ["syn:a", "syn:b", "syn:c", "syn:d"]
     assert len({cos for _, cos in pairs[:4]}) == 1
+    # Limits that cut inside the four-way tie keep its first names.
+    for limit, names in ((2, ["syn:a", "syn:b"]), (3, ["syn:a", "syn:b", "syn:c"])):
+        capped = rank_neighbors(store, synset_id("t"), annotated, limit=limit)
+        _assert_same(capped, pairs[:limit])
+        assert [n.name for n, _ in capped] == names
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -225,6 +236,23 @@ def test_score_sememes_matches_reference(seed, cap):
     config = SrConfig(decay=float(rng.uniform(0.05, 0.95)), neighbor_cap=cap)
     for pool in (candidates, None):
         got = score_sememes(target, neighbors, annotations, config, pool)
+        want = _reference_score_sememes(target, neighbors, annotations, config, pool)
+        _assert_same(got.entries, want.entries)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cap", [None, 1, 3, 1000])
+def test_recommend_matches_reference(seed, cap):
+    rng, store, target, annotations, candidates = _case(seed)
+    config = SrConfig(decay=float(rng.uniform(0.05, 0.95)), neighbor_cap=cap)
+    try:
+        neighbors = _reference_rank_neighbors(store, target, annotations.keys())
+    except CoverageError as exc:
+        with pytest.raises(CoverageError, match=str(exc)):
+            recommend(store, target, annotations, config, candidates)
+        return
+    for pool in (candidates, None):
+        got = recommend(store, target, annotations, config, pool)
         want = _reference_score_sememes(target, neighbors, annotations, config, pool)
         _assert_same(got.entries, want.entries)
 

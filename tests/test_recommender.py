@@ -262,6 +262,34 @@ class TestRankNeighbors:
         with pytest.raises(CoverageError):
             rank_neighbors(store, synset_id("t"), [synset_id("a"), synset_id("b")])
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_a_contract_error(self, limit):
+        store = _store({"t": [1.0, 0.0], "a": [0.0, 1.0], "b": [1.0, 1.0]})
+        with pytest.raises(ContractError, match=f"limit must be >= 1 or None, got {limit}"):
+            rank_neighbors(store, synset_id("t"), [synset_id("a"), synset_id("b")], limit=limit)
+
+    def test_changed_annotated_set_is_searched_anew(self):
+        # The gathered block is reused across calls on one store, so it must
+        # follow the annotated set's value, not the object passed.
+        rng = np.random.default_rng(3)
+        raw = {f"b{i}": rng.normal(size=3).tolist() for i in range(8)}
+        store = _store(raw)
+        first = {synset_id(f"b{i}"): frozenset() for i in range(1, 8)}
+        second = {synset_id(f"b{i}"): frozenset() for i in (0, 2, 5)}
+        calls = [(synset_id("b0"), first), (synset_id("b1"), second), (synset_id("b3"), first),
+                 (synset_id("b1"), second), (synset_id("b0"), first)]
+        for target, annotations in calls:
+            for limit in (None, 2):
+                assert rank_neighbors(store, target, annotations.keys(), limit=limit) == rank_neighbors(
+                    _store(raw), target, annotations.keys(), limit=limit
+                )
+        # The same mapping object before and after it loses a key.
+        before = rank_neighbors(store, synset_id("b0"), first)
+        del first[synset_id("b4")]
+        after = rank_neighbors(store, synset_id("b0"), first)
+        assert after == rank_neighbors(_store(raw), synset_id("b0"), first)
+        assert [n for n, _ in after] == [n for n, _ in before if n != synset_id("b4")]
+
 
 def _fixture_neighbors():
     return [(synset_id("b1"), 0.9), (synset_id("b2"), 0.5)]
