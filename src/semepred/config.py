@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, TypeVar
 
 from .atomic import atomic_open
-from .errors import ConfigError, utf8_or_fail
+from .errors import ConfigError, numbered_lines
 from .evaluation import BucketQuantity, BucketSpec
 from .fusion import FusionConfig
 from .graph import Split
@@ -149,17 +149,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file {path} is not a regular file")
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh, utf8_or_fail(path, ConfigError):
-        for lineno, line in enumerate(fh, start=1):
+    with numbered_lines(path, ConfigError) as lines:
+        for _, line in lines:
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
+                raise ConfigError(f"expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
             if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+                raise ConfigError(f"unknown setting {key!r}")
             raw[key] = value.strip()
     return raw
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ParseError, UnknownIdError, ValidationError, utf8_or_fail
+from .errors import ParseError, UnknownIdError, ValidationError, numbered_lines
 from .graph import (
     EQUIVALENCE_RELATION,
     NodeId,
@@ -47,41 +47,35 @@ def read_vector_file(
     and the line number of each row; ids it rejects with
     :class:`ValidationError`, malformed or non-finite components and
     repeated ids fail naming ``path:line``."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
-        header = fh.readline().rstrip("\n")
+    with numbered_lines(path) as numbered:
+        _, header = next(numbered, (1, ""))
         if not header.startswith("D=") or not header[2:].isdecimal():
-            raise ParseError(f"{path}:1: expected a D=<dim> header, got {header!r}")
+            raise ParseError(f"expected a D=<dim> header, got {header!r}")
         dimension = int(header[2:])
         if dimension <= 0:
-            raise ParseError(f"{path}:1: dimension must be positive, got {dimension}")
+            raise ParseError(f"dimension must be positive, got {dimension}")
         rows: list[tuple[K, np.ndarray]] = []
         lines: list[int] = []
         seen: set[str] = set()
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+        for lineno, line in numbered:
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected id<TAB>vector, got {len(fields)} fields")
+                raise ParseError(f"expected id<TAB>vector, got {len(fields)} fields")
             try:
                 vec = np.array([float(x) for x in fields[1].split()], dtype=np.float64)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector component") from exc
+                raise ParseError("non-numeric vector component") from exc
             if vec.shape != (dimension,):
-                raise ParseError(
-                    f"{path}:{lineno}: vector has {vec.shape[0]} components, header says {dimension}"
-                )
+                raise ParseError(f"vector has {vec.shape[0]} components, header says {dimension}")
             if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}:{lineno}: non-finite vector component")
+                raise ParseError("non-finite vector component")
             if fields[0] in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate id {fields[0]!r}")
+                raise ValidationError(f"duplicate id {fields[0]!r}")
             seen.add(fields[0])
             try:
                 rows.append((parse_id(fields[0]), vec))
             except ValidationError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise ParseError(str(exc)) from exc
             lines.append(lineno)
     return dimension, rows, lines
 

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the guard that names the
-first line of an input file that is not valid UTF-8."""
+"""Exception hierarchy shared by all modules, and the one input-file
+reader, which numbers lines and names ``path:line`` on every error."""
 
 from __future__ import annotations
 
@@ -53,14 +53,28 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @contextmanager
-def utf8_or_fail(path: str | Path, error: type[SemepredError] = ParseError) -> Iterator[None]:
-    """Turn a decode error escaping a text-mode read of ``path`` into
-    ``error`` naming the first line that is not valid UTF-8.  The file is
-    reread with ``surrogateescape``, so its lines split as they did, and
-    every byte strict decoding rejects comes back in U+DC80-U+DCFF."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            lineno = next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
-        raise error(f"{path}:{lineno}: not valid UTF-8") from exc
+def numbered_lines(
+    path: str | Path, error: type[SemepredError] = ParseError
+) -> Iterator[Iterator[tuple[int, str]]]:
+    """``(number, line)`` for each non-blank line of the UTF-8 file ``path``, newline dropped.
+    A :class:`SemepredError` raised in the block comes back as the same type, prefixed
+    ``path:<line read last>: `` (line 1 before any is read).  Text mode decodes ahead, so a
+    decode error becomes ``error`` naming the first bad line a ``surrogateescape`` reread finds."""
+    path, last = Path(path), 1
+
+    def lines() -> Iterator[tuple[int, str]]:
+        nonlocal last
+        for number, raw in enumerate(fh, start=1):
+            if raw.strip():
+                last = number
+                yield number, raw.rstrip("\n")
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield lines()
+        except UnicodeDecodeError as exc:
+            with open(path, encoding="utf-8", errors="surrogateescape") as escaped:
+                bad = next(n for n, line in enumerate(escaped, start=1) if _ESCAPED_BYTE.search(line))
+            raise error(f"{path}:{bad}: not valid UTF-8") from exc
+        except SemepredError as exc:
+            raise type(exc)(f"{path}:{last}: {exc}") from exc

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .atomic import atomic_open
-from .errors import ConfigError, ContractError, ParseError, ValidationError, utf8_or_fail
+from .errors import ConfigError, ContractError, ParseError, ValidationError, numbered_lines
 from .graph import NodeId
 from .ranking import ScoredRanking
 
@@ -146,23 +146,17 @@ def load_predictions(path: str | Path) -> list[PredictionResult]:
     """Read a prediction dump; the file does not record provenance, so
     every row is labelled fused.  A target listed twice is a
     :class:`ParseError` naming both lines."""
-    path = Path(path)
     results: list[PredictionResult] = []
     first_line: dict[NodeId, int] = {}
-    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+    with numbered_lines(path) as lines:
+        for lineno, line in lines:
             fields = line.split("\t")
             if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}")
+                raise ParseError(f"expected 3 TAB-separated fields, got {len(fields)}")
             try:
                 target = NodeId(fields[0])
                 if first_line.setdefault(target, lineno) != lineno:
-                    raise ParseError(
-                        f"{path}:{lineno}: duplicate prediction for {target}, first on line {first_line[target]}"
-                    )
+                    raise ParseError(f"duplicate prediction for {target}, first on line {first_line[target]}")
                 entries: list[tuple[NodeId, float]] = []
                 if fields[1]:
                     for item in fields[1].split(","):
@@ -170,11 +164,11 @@ def load_predictions(path: str | Path) -> list[PredictionResult]:
                         try:
                             score = float(score_text)
                         except ValueError as exc:
-                            raise ParseError(f"{path}:{lineno}: bad score in {item!r}") from exc
+                            raise ParseError(f"bad score in {item!r}") from exc
                         entries.append((NodeId(name), score))
                 ranking = ScoredRanking(target, tuple(entries))
                 selected = frozenset(NodeId(name) for name in fields[2].split(",") if name)
                 results.append(PredictionResult(target, ranking, selected, Provenance.FUSED))
             except ValidationError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise ParseError(str(exc)) from exc
     return results

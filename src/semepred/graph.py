@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .atomic import atomic_open
-from .errors import ConfigError, ParseError, UnknownIdError, ValidationError, utf8_or_fail
+from .errors import ConfigError, ParseError, UnknownIdError, ValidationError, numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -468,13 +468,8 @@ class TripletStore:
 # POS file: node-id<TAB>pos-tag with the same comment convention.
 
 
-def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh, utf8_or_fail(path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+def _data_lines(lines: Iterable[tuple[int, str]]) -> Iterable[tuple[int, str]]:
+    return ((n, line) for n, line in lines if not line.lstrip().startswith("#"))
 
 
 def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> TripletStore:
@@ -484,55 +479,51 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
     an explicit split label.  Malformed lines raise :class:`ParseError`
     naming the line number.  A repeated triplet is dropped, unless its split
     label differs, which raises :class:`ValidationError` naming both lines.
+    A store check that fails (see :class:`TripletStore`) names the file.
     """
-    path = Path(path)
     triplets: list[Triplet] = []
     first: dict[Triplet, tuple[Split, int]] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            raise ParseError(f"{path}:{lineno}: expected 3 or 4 TAB-separated fields, got {len(fields)}")
-        try:
-            head = NodeId.parse(fields[0])
-            tail = NodeId.parse(fields[2])
-            triplet = make_triplet(head, fields[1], tail)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        label = Split.TRAIN
-        if len(fields) == 4:
-            try:
-                label = Split(fields[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: unknown split label {fields[3]!r}") from exc
-        first_label, first_line = first.setdefault(triplet, (label, lineno))
-        if first_label is not label:
-            raise ValidationError(
-                f"{path}:{lineno}: triplet {' '.join(fields[:3])} is {label.value} here "
-                f"but {first_label.value} on line {first_line}"
-            )
-        triplets.append(triplet)
+    with numbered_lines(path) as lines:
+        for lineno, line in _data_lines(lines):
+            fields = line.split("\t")
+            if len(fields) not in (3, 4):
+                raise ParseError(f"expected 3 or 4 TAB-separated fields, got {len(fields)}")
+            triplet = make_triplet(NodeId.parse(fields[0]), fields[1], NodeId.parse(fields[2]))
+            label = Split.TRAIN
+            if len(fields) == 4:
+                try:
+                    label = Split(fields[3])
+                except ValueError as exc:
+                    raise ParseError(f"unknown split label {fields[3]!r}") from exc
+            first_label, first_line = first.setdefault(triplet, (label, lineno))
+            if first_label is not label:
+                raise ValidationError(
+                    f"triplet {' '.join(fields[:3])} is {label.value} here "
+                    f"but {first_label.value} on line {first_line}"
+                )
+            triplets.append(triplet)
     pos = load_pos_tags(pos_path) if pos_path is not None else {}
-    return TripletStore(triplets, pos, {t: label for t, (label, _) in first.items()})
+    try:
+        return TripletStore(triplets, pos, {t: label for t, (label, _) in first.items()})
+    except ValidationError as exc:
+        raise ValidationError(f"{Path(path)}: {exc}") from exc
 
 
 def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:
-    path = Path(path)
     tags: dict[NodeId, Pos] = {}
     first_line: dict[NodeId, int] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 TAB-separated fields, got {len(fields)}")
-        try:
+    with numbered_lines(path) as lines:
+        for lineno, line in _data_lines(lines):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 2 TAB-separated fields, got {len(fields)}")
             node = NodeId.parse(fields[0])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if first_line.setdefault(node, lineno) != lineno:
-            raise ValidationError(f"{path}:{lineno}: {node} already tagged on line {first_line[node]}")
-        try:
-            tags[node] = Pos(fields[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: unknown POS tag {fields[1]!r}") from exc
+            if first_line.setdefault(node, lineno) != lineno:
+                raise ValidationError(f"{node} already tagged on line {first_line[node]}")
+            try:
+                tags[node] = Pos(fields[1])
+            except ValueError as exc:
+                raise ParseError(f"unknown POS tag {fields[1]!r}") from exc
     return tags
 
 

@@ -15,7 +15,6 @@ baseline.  Sememes are predicted for a synset by completing the tail of
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import random
@@ -27,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .embeddings import EmbeddingTable, init_embeddings
-from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError, utf8_or_fail
+from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError, numbered_lines
 from .graph import (
     EQUIVALENCE_RELATION,
     NodeId,
@@ -361,22 +360,19 @@ def save_loss_trace(trace: Iterable[EpochLoss], path: str | Path) -> None:
 
 
 def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh, utf8_or_fail(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "l1", "l2", "total"]:
-            raise ParseError(f"{path}:1: expected header epoch,l1,l2,total")
+    with numbered_lines(path) as lines:
+        _, header = next(lines, (1, ""))
+        if header != "epoch,l1,l2,total":
+            raise ParseError("expected header epoch,l1,l2,total")
         out: list[EpochLoss] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for _, line in lines:
+            row = line.split(",")
             if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                raise ParseError(f"expected 4 fields, got {len(row)}")
             try:
                 out.append(EpochLoss(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+                raise ParseError("non-numeric field") from exc
     return tuple(out)
 
 

@@ -51,7 +51,7 @@ class ScoredRanking:
         ranked = sorted(scores, key=operator.attrgetter("name"))
         # A stable descending sort keeps equal scores in name order.
         ranked.sort(key=scores.__getitem__, reverse=True)
-        entries = tuple((s, scores[s]) for s in ranked)
+        entries = tuple(zip(ranked, map(scores.__getitem__, ranked)))
         if not all(map(math.isfinite, scores.values())):
             return cls(target, entries)
         ranking = object.__new__(cls)
