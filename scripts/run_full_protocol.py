@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         "train", *train_overrides, "--data", str(prep / "dataset.tsv"), "--out", str(trained),
     ])
     run([
-        "predict", *common, "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+        "predict", *common, "--data", str(prep / "dataset.tsv"),
         "--embeddings", str(trained / "embeddings.tsv"), "--vectors", vectors,
         "--split", "test", "--out", str(pred),
     ])
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         "--split", "test", "--out", str(evaled),
     ])
     run([
-        "analyze", *common, "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+        "analyze", *common, "--data", str(prep / "dataset.tsv"),
         "--predictions", str(pred / "predictions.tsv"),
         "--split", "test", "--out", str(analyzed),
     ])

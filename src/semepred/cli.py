@@ -1,8 +1,9 @@
 """Command-line pipeline: prepare, train, predict, eval, analyze, synth.
 
-Every command resolves one layered settings object, writes its artifacts
-into the ``out`` directory, and echoes the fully resolved settings next
-to them, so any run can be reproduced from its output directory alone.
+Every command resolves one layered settings object and writes its artifacts
+into the ``out`` directory; ``main`` then echoes the fully resolved settings
+next to them, last, so any run can be reproduced from its output directory
+alone, and a directory without the echo holds a run that did not finish.
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
 
@@ -51,7 +52,6 @@ from .fusion import (
 from .graph import (
     Pos,
     Split,
-    TripletStore,
     format_stats,
     load_triplets,
     save_pos_tags,
@@ -98,12 +98,7 @@ def _out_dir(settings: Settings) -> Path:
     return out
 
 
-def _load_dataset(settings: Settings) -> TripletStore:
-    triplets = _existing_path(settings, "data.triplets")
-    return load_triplets(triplets, _optional_path(settings, "data.pos"))
-
-
-def cmd_prepare(settings: Settings) -> None:
+def cmd_prepare(settings: Settings, out: Path) -> None:
     triplets = _existing_path(settings, "prepare.triplets")
     store = load_triplets(triplets, _optional_path(settings, "prepare.pos"))
     store = store.filter_low_frequency(
@@ -120,21 +115,17 @@ def cmd_prepare(settings: Settings) -> None:
         except ValueError as exc:
             raise ConfigError(f"prepare.keep_pos has an unknown POS tag: {keep_text!r}") from exc
         store = store.filter_by_pos(keep)
-    out = _out_dir(settings)
     save_triplets(store, out / "dataset.tsv", include_split=True)
     save_pos_tags(store.pos_tags(), out / "pos.tsv")
     with atomic_open(out / "summary.txt") as fh:
         fh.write(format_stats(store.stats()))
-    settings.write_echo(out)
 
 
-def cmd_train(settings: Settings) -> None:
-    store = _load_dataset(settings)
+def cmd_train(settings: Settings, out: Path) -> None:
+    store = load_triplets(_existing_path(settings, "data.triplets"))
     result = train(store, train_config(settings))
-    out = _out_dir(settings)
     result.table.save(out / "embeddings.tsv")
     save_loss_trace(result.trace, out / "loss_trace.csv")
-    settings.write_echo(out)
 
 
 # Keyed by (similarity ranking present, translation ranking present).
@@ -145,8 +136,8 @@ _PROVENANCE = {
 }
 
 
-def cmd_predict(settings: Settings) -> None:
-    store = _load_dataset(settings)
+def cmd_predict(settings: Settings, out: Path) -> None:
+    store = load_triplets(_existing_path(settings, "data.triplets"))
     split = Split(str(settings["predict.split"]))
     model = str(settings["predict.model"])
     fcfg = fusion_config(settings)
@@ -202,7 +193,6 @@ def cmd_predict(settings: Settings) -> None:
         provenance_counts[result.provenance.value] += 1
         results.append(result)
 
-    out = _out_dir(settings)
     save_predictions(results, out / "predictions.tsv")
     summary_lines = [
         f"targets\t{len(targets)}",
@@ -215,7 +205,6 @@ def cmd_predict(settings: Settings) -> None:
         )
     with atomic_open(out / "summary.txt") as fh:
         fh.write("\n".join(summary_lines) + "\n")
-    settings.write_echo(out)
 
 
 def _load_results(settings: Settings) -> dict:
@@ -223,41 +212,36 @@ def _load_results(settings: Settings) -> dict:
     return {result.target: result for result in predictions}
 
 
-def cmd_eval(settings: Settings) -> None:
-    store = _load_dataset(settings)
+def cmd_eval(settings: Settings, out: Path) -> None:
+    # Only eval reads POS tags after prepare, for its per-POS rows.
+    store = load_triplets(_existing_path(settings, "data.triplets"), _optional_path(settings, "data.pos"))
     split = Split(str(settings["eval.split"]))
     results = _load_results(settings)
     report = evaluate(results, store, split, f1_mode=str(settings["eval.f1_mode"]))
-    out = _out_dir(settings)
     save_report_jsonl(report, out / "report.jsonl")
     with atomic_open(out / "report.txt") as fh:
         fh.write(format_report_table(report))
-    settings.write_echo(out)
 
 
-def cmd_analyze(settings: Settings) -> None:
-    store = _load_dataset(settings)
+def cmd_analyze(settings: Settings, out: Path) -> None:
+    store = load_triplets(_existing_path(settings, "data.triplets"))
     outcomes = synset_outcomes(_load_results(settings), store, Split(str(settings["analyze.split"])))
     # Every report is built before the first write, so a bad setting leaves no partial artifacts.
     buckets = {q: bucket_analysis(outcomes, store, spec) for q, spec in bucket_specs(settings).items()}
     easiest, hardest = sememe_difficulty(outcomes, int(settings["analyze.top_k"]))
-    out = _out_dir(settings)
     for quantity, rows in buckets.items():
         save_bucket_csv(rows, out / f"{quantity.value}.csv")
     save_difficulty_table(easiest, hardest, out / "difficulty.tsv")
-    settings.write_echo(out)
 
 
-def cmd_synth(settings: Settings) -> None:
+def cmd_synth(settings: Settings, out: Path) -> None:
     store, vectors, _ = generate(synth_config(settings))
-    out = _out_dir(settings)
     save_triplets(store, out / "triplets.tsv")
     save_pos_tags(store.pos_tags(), out / "pos.tsv")
     vectors.save(out / "vectors.tsv")
-    settings.write_echo(out)
 
 
-_COMMANDS: dict[str, Callable[[Settings], None]] = {
+_COMMANDS: dict[str, Callable[[Settings, Path], None]] = {
     "prepare": cmd_prepare,
     "train": cmd_train,
     "predict": cmd_predict,
@@ -273,7 +257,6 @@ _FLAG_KEYS: dict[str, list[tuple[str, str]]] = {
     "train": [("data", "data.triplets"), ("out", "out")],
     "predict": [
         ("data", "data.triplets"),
-        ("pos", "data.pos"),
         ("embeddings", "data.embeddings"),
         ("vectors", "data.vectors"),
         ("model", "predict.model"),
@@ -289,7 +272,6 @@ _FLAG_KEYS: dict[str, list[tuple[str, str]]] = {
     ],
     "analyze": [
         ("data", "data.triplets"),
-        ("pos", "data.pos"),
         ("predictions", "data.predictions"),
         ("split", "analyze.split"),
         ("out", "out"),
@@ -346,7 +328,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         settings = resolve(
             getattr(args, "config", None), getattr(args, "set", []), os.environ, flag_overrides
         )
-        _COMMANDS[args.command](settings)
+        out = _out_dir(settings)
+        # config.resolved marks a finished stage: the last run's goes before the
+        # command starts, and this run's is written only after it returns.
+        (out / "config.resolved").unlink(missing_ok=True)
+        _COMMANDS[args.command](settings, out)
+        settings.write_echo(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

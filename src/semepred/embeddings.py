@@ -176,6 +176,13 @@ def _parse_table_id(text: str) -> NodeId | RelationId:
     return RelationId.parse(text) if text.startswith("rel:") else NodeId.parse(text)
 
 
+def normalize_rows(rows: np.ndarray) -> None:
+    """Divide each row of ``rows`` by its norm, in place; a zero row stays as it is."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    rows /= norms
+
+
 def init_embeddings(store: TripletStore, config: "TrainConfig") -> EmbeddingTable:
     """Draw initial embeddings uniformly from +-6/sqrt(D).
 
@@ -193,9 +200,7 @@ def init_embeddings(store: TripletStore, config: "TrainConfig") -> EmbeddingTabl
     node_matrix = rng.uniform(-bound, bound, size=(len(node_ids), dim))
     relation_matrix = rng.uniform(-bound, bound, size=(len(relation_ids), dim))
     if config.normalize_entities:
-        norms = np.linalg.norm(node_matrix, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        node_matrix = node_matrix / norms
+        normalize_rows(node_matrix)
     return EmbeddingTable(
         dimension=dim,
         node_ids=node_ids,

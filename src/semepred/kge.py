@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .atomic import atomic_open
-from .embeddings import EmbeddingTable, init_embeddings
+from .embeddings import EmbeddingTable, init_embeddings, normalize_rows
 from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError, numbered_lines
 from .graph import (
     EQUIVALENCE_RELATION,
@@ -360,6 +360,8 @@ def save_loss_trace(trace: Iterable[EpochLoss], path: str | Path) -> None:
 
 
 def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
+    """Read what :func:`save_loss_trace` writes: epochs 1, 2, ... in order, each with
+    finite losses >= 0; anything else is a :class:`ParseError` naming its line."""
     with numbered_lines(path) as lines:
         _, header = next(lines, (1, ""))
         if header != "epoch,l1,l2,total":
@@ -370,9 +372,14 @@ def load_loss_trace(path: str | Path) -> tuple[EpochLoss, ...]:
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}")
             try:
-                out.append(EpochLoss(int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+                epoch, losses = int(row[0]), [float(field) for field in row[1:]]
             except ValueError as exc:
                 raise ParseError("non-numeric field") from exc
+            if epoch != len(out) + 1:
+                raise ParseError(f"expected epoch {len(out) + 1}, got {epoch}")
+            if not all(0 <= loss < math.inf for loss in losses):
+                raise ParseError(f"losses must be finite and >= 0, got {','.join(row[1:])}")
+            out.append(EpochLoss(epoch, *losses))
     return tuple(out)
 
 
@@ -426,9 +433,7 @@ def train(store: TripletStore, config: TrainConfig) -> TrainResult:
 
             if config.normalize_entities and len(touched):
                 rows = node_m[touched]
-                norms = np.linalg.norm(rows, axis=1, keepdims=True)
-                norms[norms == 0.0] = 1.0
-                rows /= norms
+                normalize_rows(rows)
                 node_m[touched] = rows
 
         total = config.ranking_weight * l1_sum + config.equivalence_weight * l2_sum

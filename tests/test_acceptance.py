@@ -469,7 +469,7 @@ def _run_pipeline(base: Path, synth: Path, seed: str) -> dict[str, bytes]:
     ]) == 0
     assert cli_main([
         "predict", "--seed", seed,
-        "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+        "--data", str(prep / "dataset.tsv"),
         "--embeddings", str(trained / "embeddings.tsv"),
         "--vectors", str(synth / "vectors.tsv"),
         "--split", "test", "--out", str(pred),
@@ -649,7 +649,7 @@ def test_c9_stock_hyperparameters_and_report_shape(tmp_path):
     ] + size_overrides) == 0
     assert cli_main([
         "predict", "--seed", "3",
-        "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+        "--data", str(prep / "dataset.tsv"),
         "--embeddings", str(trained / "embeddings.tsv"), "--vectors", vectors,
         "--split", "test", "--out", str(pred),
     ]) == 0

@@ -290,7 +290,6 @@ class TestExitCodes:
         code = main([
             "predict",
             "--data", str(synth_out / "triplets.tsv"),
-            "--pos", str(synth_out / "pos.tsv"),
             "--split", "train",
             "--out", str(tmp_path / "pred"),
         ])
@@ -351,8 +350,9 @@ class TestExitCodes:
         data = tmp_path / "data.tsv"
         data.write_text("syn:a\thave_sememe\tsem:p\ttest\n", encoding="utf-8")
         # The last of a repeated flag wins, so --data can name the directory too.
-        code = main(["predict", "--data", str(data), "--model", "similarity", "--out", str(tmp_path / "out"),
-                     flag, str(tmp_path)])
+        # eval is the one scoring command that reads data.pos.
+        command = ["eval"] if flag == "--pos" else ["predict", "--model", "similarity"]
+        code = main([*command, "--data", str(data), "--out", str(tmp_path / "out"), flag, str(tmp_path)])
         assert code == 1
         assert f"config error: {key} points to {tmp_path}, which is not a regular file" in capsys.readouterr().err
 
@@ -415,7 +415,7 @@ class TestPipelineSmoke:
             "--set", "train.batch_size=64",
         ]) == 0
         assert main([
-            "predict", "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+            "predict", "--data", str(prep / "dataset.tsv"),
             "--embeddings", str(trained / "embeddings.tsv"),
             "--vectors", str(synth / "vectors.tsv"),
             "--split", "test", "--out", str(pred),
@@ -426,7 +426,7 @@ class TestPipelineSmoke:
             "--split", "test", "--out", str(evaled),
         ]) == 0
         assert main([
-            "analyze", "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
+            "analyze", "--data", str(prep / "dataset.tsv"),
             "--predictions", str(pred / "predictions.tsv"),
             "--split", "test", "--out", str(analyzed),
             "--set", "analyze.top_k=3",

@@ -193,3 +193,69 @@ def test_every_reader_returns_or_names_its_file(tmp_path_factory, kind, line_pic
         read(path)
     except SemepredError as exc:
         assert str(exc).startswith(f"{path}:"), str(exc)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A small valid chain's input files, keyed by kind."""
+    root = tmp_path_factory.mktemp("chain")
+    settings = root / "settings.conf"
+    settings.write_text("seed = 3\ntrain.dimension = 4\ntrain.epochs = 1\n", encoding="utf-8")
+    synth, prep, model, pred = (root / n for n in ("synth", "prep", "model", "pred"))
+    assert main([
+        "synth", "--config", str(settings), "--out", str(synth), "--set", "synth.n_synsets=12",
+        "--set", "synth.n_sememes=6", "--set", "synth.antonym_pairs=1", "--set", "synth.hypernym_edges=1",
+        "--set", "synth.vector_dim=3",
+    ]) == 0
+    files = {"raw": synth / "triplets.tsv", "settings": settings, "vectors": synth / "vectors.tsv",
+             "triplets": prep / "dataset.tsv", "pos": prep / "pos.tsv", "embeddings": model / "embeddings.tsv",
+             "predictions": pred / "predictions.tsv"}
+    assert main(["prepare", "--config", str(settings), "--triplets", str(files["raw"]),
+                 "--pos", str(synth / "pos.tsv"), "--out", str(prep)]) == 0
+    for command, out in (("train", model), ("predict", pred)):
+        assert main(_chain_argv(command, files, out)) == 0
+    return files
+
+
+def _chain_argv(command, files, out):
+    inputs = {
+        "prepare": ["--triplets", files["raw"], "--pos", files["pos"]],
+        "train": ["--data", files["triplets"]],
+        "predict": ["--data", files["triplets"], "--embeddings", files["embeddings"],
+                    "--vectors", files["vectors"], "--split", "test"],
+        "eval": ["--data", files["triplets"], "--pos", files["pos"], "--predictions", files["predictions"],
+                 "--split", "test"],
+        "analyze": ["--data", files["triplets"], "--predictions", files["predictions"], "--split", "test"],
+    }[command]
+    return [command, "--config", str(files["settings"]), *map(str, inputs), "--out", str(out)]
+
+
+# The commands that read each kind of file in the chain.
+READERS = {
+    "triplets": ("train", "predict", "eval", "analyze"),
+    "pos": ("prepare", "eval"),
+    "vectors": ("predict",),
+    "embeddings": ("predict",),
+    "predictions": ("eval", "analyze"),
+    "settings": ("prepare", "train"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind_and_command=st.sampled_from([(kind, c) for kind in sorted(READERS) for c in READERS[kind]]),
+    line_pick=st.integers(min_value=0),
+    field_pick=st.integers(min_value=0),
+    token=st.sampled_from(AWKWARD_TOKENS),
+)
+def test_main_exits_zero_one_or_two_and_never_raises(chain, kind_and_command, line_pick, field_pick, token):
+    kind, command = kind_and_command
+    lines = chain[kind].read_text(encoding="utf-8").splitlines()
+    i = line_pick % len(lines)
+    parts = SEPARATORS.split(lines[i])
+    parts[2 * (field_pick % (len(parts) // 2 + 1))] = token
+    lines[i] = "".join(parts)
+    mutated = chain["raw"].parent.parent / f"mutated-{kind}.txt"
+    mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = mutated.parent / f"mutated-{command}"
+    assert main(_chain_argv(command, {**chain, kind: mutated}, out)) in (0, 1, 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -727,4 +728,31 @@ class TestLossTraceIO:
         path = tmp_path / "trace.csv"
         path.write_text("epoch,a,b\n", encoding="utf-8")
         with pytest.raises(Exception):
+            load_loss_trace(path)
+
+    def test_trained_trace_round_trips(self, toy_store, tmp_path):
+        trace = train(toy_store, TrainConfig(dimension=4, epochs=5, batch_size=3, seed=1)).trace
+        path = tmp_path / "trace.csv"
+        save_loss_trace(trace, path)
+        assert load_loss_trace(path) == trace
+
+    # Each row is what save_loss_trace never writes; the line named is the first bad one.
+    @pytest.mark.parametrize(
+        ("rows", "error"),
+        [
+            ("1,nan,0,0", "2: losses must be finite and >= 0, got nan,0,0"),
+            ("1,0,inf,0", "2: losses must be finite and >= 0, got 0,inf,0"),
+            ("1,0,0,-1", "2: losses must be finite and >= 0, got 0,0,-1"),
+            ("1,0,0,0\n2,-0.5,0,0", "3: losses must be finite and >= 0, got -0.5,0,0"),
+            ("0,0,0,0", "2: expected epoch 1, got 0"),
+            ("1,0,0,0\n1,0,0,0", "3: expected epoch 2, got 1"),
+            ("1,0,0,0\n3,0,0,0", "3: expected epoch 2, got 3"),
+            ("1,nan,inf,-1\n-5,0,0,0\n-5,0,0,0", "2: losses must be finite and >= 0, got nan,inf,-1"),
+        ],
+        ids=["nan", "inf", "negative-total", "negative-l1", "epoch-0", "repeated", "skipped", "all-three"],
+    )
+    def test_what_save_never_writes_is_rejected_naming_the_line(self, tmp_path, rows, error):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"epoch,l1,l2,total\n{rows}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{error}')}$"):
             load_loss_trace(path)

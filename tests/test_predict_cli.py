@@ -88,7 +88,7 @@ def workspace(tmp_path_factory):
 
 def _predict(ws, name, *, embeddings=False, vectors=None, model=None, sets=(), exit_code=0):
     out = ws["root"] / name
-    argv = ["predict", "--data", str(ws["data"]), "--pos", str(ws["pos"]),
+    argv = ["predict", "--data", str(ws["data"]),
             "--split", "test", "--out", str(out)]
     if embeddings:
         argv += ["--embeddings", str(ws["embeddings"])]
@@ -287,7 +287,7 @@ class TestBadVectorFile:
     def test_non_decimal_digit_header_exits_two_naming_the_line(self, workspace, capsys):
         vectors = workspace["root"] / "superscript_vectors.tsv"
         vectors.write_text("D=\u00b2\n", encoding="utf-8")
-        argv = ["predict", "--data", str(workspace["data"]), "--pos", str(workspace["pos"]),
+        argv = ["predict", "--data", str(workspace["data"]),
                 "--vectors", str(vectors), "--split", "test",
                 "--out", str(workspace["root"] / "superscript")]
         assert main(argv) == 2
@@ -302,7 +302,7 @@ class TestBadEmbeddings:
         embeddings.write_text(
             "".join(line for line in lines if line.split("\t", 1)[0] != missing.name), encoding="utf-8"
         )
-        argv = ["predict", "--data", str(workspace["data"]), "--pos", str(workspace["pos"]),
+        argv = ["predict", "--data", str(workspace["data"]),
                 "--embeddings", str(embeddings), "--split", "test",
                 "--out", str(workspace["root"] / "short_embeddings")]
         assert main(argv) == 2
@@ -315,7 +315,7 @@ class TestBadEmbeddings:
             workspace["data"].read_text(encoding="utf-8") + f"{synset.name}\thave_sememe\tsem:newone\ttrain\n",
             encoding="utf-8",
         )
-        argv = ["predict", "--data", str(data), "--pos", str(workspace["pos"]),
+        argv = ["predict", "--data", str(data),
                 "--embeddings", str(workspace["embeddings"]), "--split", "test",
                 "--out", str(workspace["root"] / "new_sememe")]
         assert main(argv) == 2
@@ -329,7 +329,8 @@ class TestReportsIgnoreDumpOrder:
         dump = ws["root"] / f"{name}.tsv"
         dump.write_text("".join(dump_lines), encoding="utf-8")
         out = ws["root"] / f"{name}_{command}"
-        assert main([command, "--data", str(ws["data"]), "--pos", str(ws["pos"]),
+        pos = ["--pos", str(ws["pos"])] if command == "eval" else []
+        assert main([command, "--data", str(ws["data"]), *pos,
                      "--predictions", str(dump), "--split", "test", "--out", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "config.resolved"}
 
