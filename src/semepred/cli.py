@@ -90,11 +90,16 @@ def _optional_path(settings: Settings, key: str) -> Path | None:
 
 
 def _out_dir(settings: Settings) -> Path:
+    """Create ``out`` and remove the last run's ``config.resolved``: the echo marks a
+    finished stage, and :func:`main` writes this run's only after the command returns."""
     out = Path(str(settings["out"]))
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "config.resolved").unlink(missing_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"out points to {out}, which is not a directory") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot prepare {out}: {exc.strerror}: {exc.filename}") from exc
     return out
 
 
@@ -329,9 +334,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             getattr(args, "config", None), getattr(args, "set", []), os.environ, flag_overrides
         )
         out = _out_dir(settings)
-        # config.resolved marks a finished stage: the last run's goes before the
-        # command starts, and this run's is written only after it returns.
-        (out / "config.resolved").unlink(missing_ok=True)
         _COMMANDS[args.command](settings, out)
         settings.write_echo(out)
     except ConfigError as exc:

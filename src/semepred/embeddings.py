@@ -62,7 +62,7 @@ def read_vector_file(
             if len(fields) != 2:
                 raise ParseError(f"expected id<TAB>vector, got {len(fields)} fields")
             try:
-                vec = np.array([float(x) for x in fields[1].split()], dtype=np.float64)
+                vec = np.array(fields[1].split(), dtype=np.float64)
             except ValueError as exc:
                 raise ParseError("non-numeric vector component") from exc
             if vec.shape != (dimension,):

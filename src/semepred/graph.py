@@ -15,6 +15,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -61,6 +62,8 @@ class Split(_IdentityEnum):
 
 
 _KIND_OF_PREFIX = {kind.value + ":": kind for kind in NodeKind}
+_SPLIT_OF_LABEL = {split.value: split for split in Split}
+_POS_OF_TAG = {pos.value: pos for pos in Pos}
 
 
 class NodeId:
@@ -237,14 +240,14 @@ class TripletStore:
         self._triplets: tuple[Triplet, ...] = tuple(self._split)
         self._pos: dict[NodeId, Pos] = dict(pos_tags or {})
 
-        degree = Counter(t.head for t in self._triplets)
-        degree.update(t.tail for t in self._triplets)
+        degree = Counter(map(itemgetter(0), self._triplets))
+        degree.update(map(itemgetter(2), self._triplets))
         self._degree: dict[NodeId, int] = {
             n: degree[n] for n in sorted(degree.keys() | self._pos.keys(), key=lambda n: n.name)
         }
         self._nodes: tuple[NodeId, ...] = tuple(self._degree)
 
-        count = Counter(t.relation for t in self._triplets)
+        count = Counter(map(itemgetter(1), self._triplets))
         self._relation_count: dict[RelationId, int] = {
             r: count[r] for r in sorted(count, key=lambda r: r.sort_key)
         }
@@ -468,10 +471,6 @@ class TripletStore:
 # POS file: node-id<TAB>pos-tag with the same comment convention.
 
 
-def _data_lines(lines: Iterable[tuple[int, str]]) -> Iterable[tuple[int, str]]:
-    return ((n, line) for n, line in lines if not line.lstrip().startswith("#"))
-
-
 def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> TripletStore:
     """Load a triplet file, optionally with a POS file, into a validated store.
 
@@ -483,18 +482,25 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
     """
     triplets: list[Triplet] = []
     first: dict[Triplet, tuple[Split, int]] = {}
+    # (head prefix, name, tail prefix) -> relation; make_triplet checks each key once.
+    relations: dict[tuple[str, str, str], RelationId] = {}
+    interned = NodeId._interned
     with numbered_lines(path) as lines:
-        for lineno, line in _data_lines(lines):
+        for lineno, line in lines:
+            if line.lstrip().startswith("#"):
+                continue
             fields = line.split("\t")
             if len(fields) not in (3, 4):
                 raise ParseError(f"expected 3 or 4 TAB-separated fields, got {len(fields)}")
-            triplet = make_triplet(NodeId.parse(fields[0]), fields[1], NodeId.parse(fields[2]))
-            label = Split.TRAIN
-            if len(fields) == 4:
-                try:
-                    label = Split(fields[3])
-                except ValueError as exc:
-                    raise ParseError(f"unknown split label {fields[3]!r}") from exc
+            head_name, name, tail_name = fields[0], fields[1], fields[2]
+            head = interned.get(head_name) or NodeId(head_name)
+            tail = interned.get(tail_name) or NodeId(tail_name)
+            key = (head_name[:4], name, tail_name[:4])
+            relation = relations.get(key) or relations.setdefault(key, make_triplet(head, name, tail).relation)
+            triplet = Triplet(head, relation, tail)
+            label = _SPLIT_OF_LABEL.get(fields[3]) if len(fields) == 4 else Split.TRAIN
+            if label is None:
+                raise ParseError(f"unknown split label {fields[3]!r}")
             first_label, first_line = first.setdefault(triplet, (label, lineno))
             if first_label is not label:
                 raise ValidationError(
@@ -512,18 +518,21 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
 def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:
     tags: dict[NodeId, Pos] = {}
     first_line: dict[NodeId, int] = {}
+    interned = NodeId._interned
     with numbered_lines(path) as lines:
-        for lineno, line in _data_lines(lines):
+        for lineno, line in lines:
+            if line.lstrip().startswith("#"):
+                continue
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ParseError(f"expected 2 TAB-separated fields, got {len(fields)}")
-            node = NodeId.parse(fields[0])
+            node = interned.get(fields[0]) or NodeId(fields[0])
             if first_line.setdefault(node, lineno) != lineno:
                 raise ValidationError(f"{node} already tagged on line {first_line[node]}")
-            try:
-                tags[node] = Pos(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"unknown POS tag {fields[1]!r}") from exc
+            tag = _POS_OF_TAG.get(fields[1])
+            if tag is None:
+                raise ParseError(f"unknown POS tag {fields[1]!r}")
+            tags[node] = tag
     return tags
 
 

@@ -270,6 +270,14 @@ class TestExitCodes:
         assert code == 1
         assert f"config error: out points to {out}, which is not a directory" in capsys.readouterr().err
 
+    def test_echo_that_cannot_be_removed_returns_one(self, tmp_path, capsys):
+        echo = tmp_path / "out" / "config.resolved"
+        echo.mkdir(parents=True)
+        code = main(["synth", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"config error: cannot prepare {echo.parent}: Is a directory: {echo}\n" in capsys.readouterr().err
+        assert echo.is_dir()
+
     def test_bad_env_override_returns_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMEPRED_TYPO", "1")
         code = main(["synth", "--out", str(tmp_path / "out")])
