@@ -64,7 +64,7 @@ from .kge import (
     score_triplet,
     train,
 )
-from .ranking import ScoredRanking
+from .ranking import CandidateOrder, ScoredRanking
 from .recommender import SemanticVectorStore, SrConfig, rank_neighbors, recommend, score_sememes
 from .synthetic import SynthConfig, generate
 
@@ -73,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BucketQuantity",
     "BucketSpec",
+    "CandidateOrder",
     "ConfigError",
     "ContractError",
     "CoverageError",

@@ -58,6 +58,7 @@ from .graph import (
     save_triplets,
 )
 from .kge import rank_sememes, save_loss_trace, train
+from .ranking import CandidateOrder
 from .recommender import SemanticVectorStore, recommend
 from .synthetic import generate
 
@@ -167,7 +168,7 @@ def cmd_predict(settings: Settings, out: Path) -> None:
     raw_scores = bool(settings["fusion.raw_scores"]) and model != "fused"
 
     targets = store.annotation_map(split)
-    candidates = store.sememes
+    candidates = CandidateOrder(store.sememes)
     train_annotations = store.annotation_map(Split.TRAIN)
 
     results: list[PredictionResult] = []

@@ -27,6 +27,7 @@ from .graph import (
 
 if TYPE_CHECKING:
     from .kge import TrainConfig
+    from .ranking import CandidateOrder
 
 K = TypeVar("K")
 
@@ -117,9 +118,9 @@ class EmbeddingTable:
             raise ValidationError("relation ids must be sorted by (kind, name)")
         self._node_index = {n: i for i, n in enumerate(self.node_ids)}
         self._relation_index = {r: i for i, r in enumerate(self.relation_ids)}
-        # kge.rank_sememes' (candidates, sorted candidates, row indices)
-        # for the last candidate set it ranked.
-        self._candidate_rows: tuple[frozenset[NodeId], list[NodeId], np.ndarray] | None = None
+        # kge.rank_sememes' (candidate order, row indices) for the last
+        # candidate set it ranked.
+        self._candidate_rows: tuple[CandidateOrder, np.ndarray] | None = None
 
     def node_index(self, node: NodeId) -> int:
         try:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .atomic import atomic_open
 from .errors import ConfigError, ContractError, ParseError, ValidationError, numbered_lines
 from .graph import NodeId
@@ -87,9 +89,8 @@ def fuse(
     if not present:
         raise ContractError("fusion needs at least one ranking")
     if similarity is not None and translation is not None:
-        sim_set = {s for s, _ in similarity.entries}
-        tr_set = {s for s, _ in translation.entries}
-        if sim_set != tr_set:
+        if similarity.candidates.nodes != translation.candidates.nodes:
+            sim_set, tr_set = set(similarity.candidates.nodes), set(translation.candidates.nodes)
             only_sim = sorted(s.name for s in sim_set - tr_set)
             only_tr = sorted(s.name for s in tr_set - sim_set)
             raise ContractError(
@@ -106,12 +107,13 @@ def fuse(
             f"{ranking.target} has only a {name} ranking and fusion.{name}_weight is 0, "
             f"so every sememe would score 0"
         )
+    # Both rankings share one name-ordered candidate tuple, so their rank
+    # arrays line up element for element.
     (first, weight, _), *rest = present
-    scores = {s: weight / rank for rank, (s, _) in enumerate(first.entries, start=1)}
+    scores = weight / first.ranks
     for ranking, weight, _ in rest:
-        for rank, (s, _) in enumerate(ranking.entries, start=1):
-            scores[s] += weight / rank
-    return ScoredRanking.from_scores(first.target, scores)
+        scores += weight / ranking.ranks
+    return ScoredRanking.from_array(first.target, first.candidates, scores)
 
 
 def threshold_select(
@@ -119,8 +121,10 @@ def threshold_select(
 ) -> PredictionResult:
     """Keep sememes scoring strictly above ``threshold``; the full ranking
     is preserved for rank-based metrics."""
-    selected = frozenset(s for s, score in ranking.entries if score > threshold)
-    return PredictionResult(ranking.target, ranking, selected, provenance)
+    # Scores fall along the ranking, so the kept sememes are its head.
+    kept = ranking.order[: np.count_nonzero(ranking.scores > threshold)].tolist()
+    nodes = ranking.candidates.nodes
+    return PredictionResult(ranking.target, ranking, frozenset([nodes[i] for i in kept]), provenance)
 
 
 # -- prediction dump --------------------------------------------------
@@ -133,13 +137,19 @@ def threshold_select(
 
 
 def save_predictions(results: Iterable[PredictionResult], path: str | Path) -> None:
+    formats: dict[int, str] = {}
     with atomic_open(path) as fh:
         for result in results:
-            ranked = ",".join(
-                "%s:%.17g" % (s.name, score) for s, score in result.ranking.entries
-            )
-            chosen = ",".join(s.name for s, _ in result.ranking.entries if s in result.selected)
-            fh.write(f"{result.target.name}\t{ranked}\t{chosen}\n")
+            ranking = result.ranking
+            n = len(ranking)
+            if n not in formats:
+                formats[n] = "%s\t" + ",".join(["%s:%.17g"] * n) + "\t%s\n"
+            names = ranking.candidates.names
+            fields: list[object] = [None] * (2 * n)
+            fields[0::2] = [names[i] for i in ranking.order.tolist()]
+            fields[1::2] = ranking.scores[ranking.order].tolist()
+            chosen = ",".join(s.name for s in sorted(result.selected, key=ranking.rank))
+            fh.write(formats[n] % (result.target.name, *fields, chosen))
 
 
 def load_predictions(path: str | Path) -> list[PredictionResult]:
@@ -148,6 +158,9 @@ def load_predictions(path: str | Path) -> list[PredictionResult]:
     :class:`ParseError` naming both lines."""
     results: list[PredictionResult] = []
     first_line: dict[NodeId, int] = {}
+    interned = NodeId._interned
+    # Rows usually rank one candidate set, so each reuses the last row's order.
+    candidates = None
     with numbered_lines(path) as lines:
         for lineno, line in lines:
             fields = line.split("\t")
@@ -157,18 +170,28 @@ def load_predictions(path: str | Path) -> list[PredictionResult]:
                 target = NodeId(fields[0])
                 if first_line.setdefault(target, lineno) != lineno:
                     raise ParseError(f"duplicate prediction for {target}, first on line {first_line[target]}")
-                entries: list[tuple[NodeId, float]] = []
-                if fields[1]:
-                    for item in fields[1].split(","):
-                        name, _, score_text = item.rpartition(":")
-                        try:
-                            score = float(score_text)
-                        except ValueError as exc:
-                            raise ParseError(f"bad score in {item!r}") from exc
-                        entries.append((NodeId(name), score))
-                ranking = ScoredRanking(target, tuple(entries))
+                items = fields[1].split(",") if fields[1] else []
+                parts = [item.rpartition(":") for item in items]
+                try:
+                    scores = np.array([float(score) for _, _, score in parts], dtype=np.float64)
+                    nodes = [interned.get(name) or NodeId(name) for name, _, _ in parts]
+                except (ValueError, ValidationError):
+                    _raise_first_bad_item(items)
+                ranking = ScoredRanking.from_ranked(target, nodes, scores, candidates)
+                candidates = ranking.candidates
                 selected = frozenset(NodeId(name) for name in fields[2].split(",") if name)
                 results.append(PredictionResult(target, ranking, selected, Provenance.FUSED))
             except ValidationError as exc:
                 raise ParseError(str(exc)) from exc
     return results
+
+
+def _raise_first_bad_item(items: list[str]) -> None:
+    """Raise the error of the first ``sememe:score`` item that does not parse."""
+    for item in items:
+        name, _, score = item.rpartition(":")
+        try:
+            float(score)
+        except ValueError as exc:
+            raise ParseError(f"bad score in {item!r}") from exc
+        NodeId(name)

@@ -230,11 +230,17 @@ class TripletStore:
     ) -> None:
         given = list(triplets)
         split = split or {}
+        self._build({t: split.get(t, Split.TRAIN) for t in given}, len(given), pos_tags)
+
+    def _build(self, split: dict[Triplet, Split], n_given: int, pos_tags: Mapping[NodeId, Pos] | None) -> None:
+        """Take ``split``, every unique triplet in first-seen order with its
+        split, as the store's own table; ``n_given`` counts the triplets
+        given, repeats included."""
         # Three tables, each the one source of its fact: triplet -> split in
         # first-seen order, node -> degree in name order (0 for a node known
         # only from ``pos_tags``), relation -> triplet count in sort_key order.
-        self._split: dict[Triplet, Split] = {t: split.get(t, Split.TRAIN) for t in given}
-        dropped = len(given) - len(self._split)
+        self._split: dict[Triplet, Split] = split
+        dropped = n_given - len(self._split)
         if dropped:
             logger.info("dropped %d duplicate triplets", dropped)
         self._triplets: tuple[Triplet, ...] = tuple(self._split)
@@ -480,8 +486,8 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
     label differs, which raises :class:`ValidationError` naming both lines.
     A store check that fails (see :class:`TripletStore`) names the file.
     """
-    triplets: list[Triplet] = []
-    first: dict[Triplet, tuple[Split, int]] = {}
+    split: dict[Triplet, Split] = {}
+    n_given = 0
     # (head prefix, name, tail prefix) -> relation; make_triplet checks each key once.
     relations: dict[tuple[str, str, str], RelationId] = {}
     interned = NodeId._interned
@@ -497,22 +503,28 @@ def load_triplets(path: str | Path, pos_path: str | Path | None = None) -> Tripl
             tail = interned.get(tail_name) or NodeId(tail_name)
             key = (head_name[:4], name, tail_name[:4])
             relation = relations.get(key) or relations.setdefault(key, make_triplet(head, name, tail).relation)
-            triplet = Triplet(head, relation, tail)
             label = _SPLIT_OF_LABEL.get(fields[3]) if len(fields) == 4 else Split.TRAIN
             if label is None:
                 raise ParseError(f"unknown split label {fields[3]!r}")
-            first_label, first_line = first.setdefault(triplet, (label, lineno))
+            first_label = split.setdefault(Triplet(head, relation, tail), label)
             if first_label is not label:
+                # Equal names make an equal triplet, so the first line with
+                # these three fields is the one that first gave it.
+                with numbered_lines(path) as again:
+                    first_line = next(n for n, text in again if text.split("\t")[:3] == fields[:3])
                 raise ValidationError(
                     f"triplet {' '.join(fields[:3])} is {label.value} here "
                     f"but {first_label.value} on line {first_line}"
                 )
-            triplets.append(triplet)
+            n_given += 1
     pos = load_pos_tags(pos_path) if pos_path is not None else {}
+    # The store keeps the one table built here, not a copy.
+    store = TripletStore.__new__(TripletStore)
     try:
-        return TripletStore(triplets, pos, {t: label for t, (label, _) in first.items()})
+        store._build(split, n_given, pos)
     except ValidationError as exc:
         raise ValidationError(f"{Path(path)}: {exc}") from exc
+    return store
 
 
 def load_pos_tags(path: str | Path) -> dict[NodeId, Pos]:

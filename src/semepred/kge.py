@@ -16,7 +16,6 @@ baseline.  Sememes are predicted for a synset by completing the tail of
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,7 @@ from .graph import (
     Triplet,
     TripletStore,
 )
-from .ranking import ScoredRanking
+from .ranking import CandidateOrder, ScoredRanking
 
 
 @dataclass(frozen=True)
@@ -449,30 +448,27 @@ def rank_sememes(
     """Rank candidate sememes for ``target`` by tail completion.
 
     The score of sememe ``s`` is the negated squared distance between
-    ``target + r_have`` and ``s``, so closer sememes rank higher.  The
-    sorted candidates and their row indices are kept on ``table`` for the
-    last candidate set seen, compared by value; the rows themselves are
-    read on every call, because training updates the matrix in place.
+    ``target + r_have`` and ``s``, so closer sememes rank higher.  Pass a
+    :class:`CandidateOrder` to rank many targets over one candidate set:
+    its row indices are kept on ``table`` for the last order seen.  The
+    rows themselves are read on every call, because training updates the
+    matrix in place.
     """
     if target.kind is not NodeKind.SYNSET:
         raise ContractError(f"prediction target must be a synset, got {target}")
-    key = frozenset(candidates)
-    memo = table._candidate_rows
-    hit = memo is not None and memo[0] == key
-    if not hit:
-        ranked = sorted(key, key=operator.attrgetter("name"))
-        if not ranked:
-            raise ContractError(f"empty candidate set for {target}")
-        for s in ranked:
-            if s.kind is not NodeKind.SEMEME:
-                raise ContractError(f"candidate {s} is not a sememe")
+    order = CandidateOrder.of(candidates)
+    if not order.nodes:
+        raise ContractError(f"empty candidate set for {target}")
+    if not order.all_sememes:
+        bad = next(s for s in order if s.kind is not NodeKind.SEMEME)
+        raise ContractError(f"candidate {bad} is not a sememe")
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
-    if hit:
-        _, ranked, indices = memo
+    memo = table._candidate_rows
+    if memo is not None and memo[0] is order:
+        indices = memo[1]
     else:
         # Looked up after the target, so a target without a row is named first.
-        indices = np.array([table.node_index(s) for s in ranked], dtype=np.intp)
-        table._candidate_rows = key, ranked, indices
+        indices = np.array([table.node_index(s) for s in order.nodes], dtype=np.intp)
+        table._candidate_rows = order, indices
     diff = table.node_matrix[indices] - query[None, :]
-    scores = -np.einsum("ij,ij->i", diff, diff)
-    return ScoredRanking.from_scores(target, dict(zip(ranked, scores.tolist())))
+    return ScoredRanking.from_array(target, order, -np.einsum("ij,ij->i", diff, diff))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from .embeddings import read_vector_file, stack_rows, write_vector_file
 from .errors import ConfigError, ContractError, CoverageError, ParseError, ValidationError
 from .graph import NodeId, NodeKind
-from .ranking import ScoredRanking
+from .ranking import CandidateOrder, ScoredRanking
 
 logger = logging.getLogger(__name__)
 
@@ -214,18 +215,34 @@ def score_sememes(
     """
     if not neighbors:
         raise ContractError(f"no neighbors to aggregate for {target}")
+    if candidates is not None:
+        order = CandidateOrder.of(candidates)
+        if not order.all_sememes:
+            bad = next(s for s in order if s.kind is not NodeKind.SEMEME)
+            raise ContractError(f"candidate {bad} is not a sememe")
     capped = neighbors if config.neighbor_cap is None else neighbors[: config.neighbor_cap]
-    scores: dict[NodeId, float] = {} if candidates is None else dict.fromkeys(candidates, 0.0)
-    for s in scores:
-        if s.kind is not NodeKind.SEMEME:
-            raise ContractError(f"candidate {s} is not a sememe")
-    for rank, (neighbor, cos) in enumerate(capped, start=1):
-        if neighbor not in annotations:
-            raise ContractError(f"neighbor {neighbor} has no annotation entry")
-        weight = max(cos, 0.0) * config.decay**rank
-        for s in annotations[neighbor]:
-            scores[s] = scores.get(s, 0.0) + weight
-    return ScoredRanking.from_scores(target, scores)
+    try:
+        groups = [annotations[neighbor] for neighbor, _ in capped]
+    except KeyError:
+        missing = next(neighbor for neighbor, _ in capped if neighbor not in annotations)
+        raise ContractError(f"neighbor {missing} has no annotation entry") from None
+    weights = [max(cos, 0.0) * config.decay**rank for rank, (_, cos) in enumerate(capped, start=1)]
+    # One vote per annotated sememe, in the order the neighbours cast them.
+    voters = [*chain.from_iterable(groups)]
+    votes = np.repeat(weights, [*map(len, groups)])
+    if candidates is None:
+        order = CandidateOrder(voters)
+    try:
+        at = [*map(order.position.__getitem__, voters)]
+    except KeyError:
+        # Annotated sememes outside the candidates widen the ranking.
+        order = CandidateOrder([*order.nodes, *voters])
+        at = [*map(order.position.__getitem__, voters)]
+    scores = np.zeros(len(order))
+    # np.add.at adds unbuffered in index order, so each sum is formed from
+    # 0.0 in the order the votes were cast.
+    np.add.at(scores, np.array(at, dtype=np.intp), votes)
+    return ScoredRanking.from_array(target, order, scores)
 
 
 def recommend(

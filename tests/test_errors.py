@@ -259,3 +259,31 @@ def test_main_exits_zero_one_or_two_and_never_raises(chain, kind_and_command, li
     mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = mutated.parent / f"mutated-{command}"
     assert main(_chain_argv(command, {**chain, kind: mutated}, out)) in (0, 1, 2)
+
+
+# (command, one artifact it writes)
+ARTIFACTS = [
+    ("synth", "triplets.tsv"),
+    ("train", "loss_trace.csv"),
+    ("predict", "predictions.tsv"),
+    ("eval", "report.txt"),
+    ("analyze", "difficulty.tsv"),
+]
+
+
+@pytest.mark.parametrize("command,artifact", ARTIFACTS, ids=[c for c, _ in ARTIFACTS])
+def test_artifact_path_that_is_a_directory_returns_one_naming_it(chain, tmp_path, capsys, command, artifact):
+    out = tmp_path / "out"
+    blocker = out / artifact
+    (blocker / "inside").mkdir(parents=True)
+    if command == "synth":
+        argv = ["synth", "--config", str(chain["settings"]), "--out", str(out), "--set", "synth.n_synsets=12",
+                "--set", "synth.n_sememes=6", "--set", "synth.antonym_pairs=1", "--set", "synth.hypernym_edges=1"]
+    else:
+        argv = _chain_argv(command, chain, out)
+    assert main(argv) == 1
+    assert f"config error: cannot write {blocker}: Is a directory\n" in capsys.readouterr().err
+    assert (blocker / "inside").is_dir()
+    # No temp file is left behind, and no echo marks the stage finished.
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+    assert not (out / "config.resolved").exists()

@@ -1,11 +1,14 @@
 """The per-target prediction path against its dict-and-tuple-sort reference.
 
-``rank_neighbors``, ``score_sememes``, ``rank_sememes``, ``fuse`` and
-``ScoredRanking.from_scores`` work on name-ordered arrays and name-keyed
-dicts.  The ``_reference_*`` functions below are their earlier bodies,
-which rebuilt the neighbour matrix for every target and keyed every dict
-and sort on ``NodeId``.  The arithmetic is the same, so the entries must
-be equal float for float, ties included.
+``rank_neighbors``, ``score_sememes``, ``rank_sememes``, ``fuse``,
+``threshold_select``, ``save_predictions`` and ``ScoredRanking.from_scores``
+work on name-ordered arrays: a ranking holds its candidates in name order,
+a float64 score per candidate and the rank order from one stable argsort.
+The ``_reference_*`` functions below are their earlier bodies, which
+rebuilt the neighbour matrix for every target and keyed every dict and sort
+on ``NodeId``.  The arithmetic is the same, so the entries must be equal
+float for float, ties and signs of zero included, and the dumps byte for
+byte.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from helpers import build_table
 from semepred import (
     FusionConfig,
     NodeKind,
+    PredictionResult,
+    Provenance,
     ScoredRanking,
     SemanticVectorStore,
     SrConfig,
@@ -24,9 +29,11 @@ from semepred import (
     rank_neighbors,
     rank_sememes,
     recommend,
+    save_predictions,
     score_sememes,
     sememe_id,
     synset_id,
+    threshold_select,
 )
 from semepred.errors import ConfigError, ContractError, CoverageError, ValidationError
 from semepred.graph import RelationId, RelationKind
@@ -124,6 +131,21 @@ def _reference_fuse(similarity, translation, config):
         for rank, s in enumerate(ranking.sememes(), start=1):
             scores[s] += weight / rank
     return _reference_from_scores(first.target, scores)
+
+
+def _reference_threshold_select(ranking, threshold, provenance):
+    selected = frozenset(s for s, score in ranking.entries if score > threshold)
+    return PredictionResult(ranking.target, ranking, selected, provenance)
+
+
+def _reference_dump(results):
+    """The bytes the earlier ``save_predictions`` wrote for ``results``."""
+    lines = []
+    for result in results:
+        ranked = ",".join("%s:%.17g" % (s.name, score) for s, score in result.ranking.entries)
+        chosen = ",".join(s.name for s, _ in result.ranking.entries if s in result.selected)
+        lines.append(f"{result.target.name}\t{ranked}\t{chosen}\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _assert_same(got, want):
@@ -310,3 +332,101 @@ def test_from_scores_matches_reference(seed):
     scores = {sememe_id(f"s{i:02d}"): float(v) for i, v in zip(rng.permutation(n), values)}
     got = ScoredRanking.from_scores(synset_id("t"), scores)
     _assert_same(got.entries, _reference_from_scores(synset_id("t"), scores).entries)
+
+
+def _model_rankings(seed):
+    """(array-backed, reference) ranking pairs for one case: similarity
+    over the candidate list and over ``candidates=None``, translation over
+    the similarity ranking's sememes, and their fusion at several weights,
+    single rankings and zero weights included."""
+    rng, store, target, annotations, candidates = _case(seed)
+    try:
+        neighbors = rank_neighbors(store, target, annotations.keys())
+    except CoverageError:
+        neighbors = [(n, float(rng.normal())) for n in sorted(annotations, key=lambda n: n.name)]
+    if not neighbors:
+        return []
+    config = SrConfig(decay=float(rng.uniform(0.05, 0.95)), neighbor_cap=None)
+    pairs = []
+    for pool in (candidates, None):
+        sim = score_sememes(target, neighbors, annotations, config, pool)
+        sim_ref = _reference_score_sememes(target, neighbors, annotations, config, pool)
+        pairs.append((sim, sim_ref))
+    sememes = list(sim.sememes())
+    if not sememes:
+        return pairs
+    table = _table(rng, [target], sorted(sememes, key=lambda n: n.name), int(rng.integers(1, 4)))
+    tr = rank_sememes(table, target, sememes)
+    tr_ref = _reference_rank_sememes(table, target, sememes)
+    pairs.append((tr, tr_ref))
+    for sim_w, tr_w in [(0.45, 0.55), (1.0, 0.0), (0.0, 1.0), (0.3, 0.9)]:
+        fcfg = FusionConfig(similarity_weight=sim_w, translation_weight=tr_w)
+        inputs = [((sim, tr), (sim_ref, tr_ref))]
+        if sim_w:
+            inputs.append(((sim, None), (sim_ref, None)))
+        if tr_w:
+            inputs.append(((None, tr), (None, tr_ref)))
+        pairs += [(fuse(*got, fcfg), _reference_fuse(*want, fcfg)) for got, want in inputs]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_selection_and_dump_match_reference(seed, tmp_path):
+    """Fused rankings, and raw ones as ``fusion.raw_scores`` dumps them,
+    select and dump as the reference does, at thresholds that tie a score."""
+    got_results, want_results = [], []
+    for got, want in _model_rankings(seed):
+        _assert_same(got.entries, want.entries)
+        values = [v for _, v in want.entries]
+        thresholds = [0.32, 0.0, -0.0, -np.inf, max(values, default=0.0) + 1.0]
+        thresholds += [values[len(values) // 2]] if values else []
+        for threshold in thresholds:
+            g = threshold_select(got, threshold, Provenance.FUSED)
+            w = _reference_threshold_select(want, threshold, Provenance.FUSED)
+            assert g == w
+            assert list(g.selected) == list(w.selected)
+            got_results.append(g)
+            want_results.append(w)
+    path = tmp_path / "predictions.tsv"
+    save_predictions(got_results, path)
+    assert path.read_bytes() == _reference_dump(want_results)
+
+
+def test_zero_signs_survive_ranking_selection_and_dump(tmp_path):
+    # A sememe at exactly target + have_sememe scores -0.0 under translation.
+    target, sememes = synset_id("t"), [sememe_id(n) for n in ("c", "a", "b", "d")]
+    have = np.array([0.5, -1.0])
+    nodes = {target: np.array([1.0, 2.0])}
+    nodes.update({sememes[0]: np.array([1.5, 1.0]), sememes[1]: np.array([1.5, 1.0])})
+    nodes.update({sememes[2]: np.array([0.0, 0.0]), sememes[3]: np.array([2.0, 1.0])})
+    table = build_table(2, nodes, {HAVE: have})
+    tr = rank_sememes(table, target, sememes)
+    _assert_same(tr.entries, _reference_rank_sememes(table, target, sememes).entries)
+    assert [v.hex() for _, v in tr.entries[:2]] == ["-0x0.0p+0", "-0x0.0p+0"]
+    mixed = {sememes[0]: 0.0, sememes[1]: -0.0, sememes[2]: 0.0, sememes[3]: -0.25}
+    raw = ScoredRanking.from_scores(target, mixed)
+    _assert_same(raw.entries, _reference_from_scores(target, mixed).entries)
+    results, references = [], []
+    for ranking, reference in (
+        (tr, _reference_rank_sememes(table, target, sememes)),
+        (raw, _reference_from_scores(target, mixed)),
+    ):
+        for threshold in (0.0, -0.0, -0.1):
+            results.append(threshold_select(ranking, threshold, Provenance.TRANSLATION))
+            references.append(_reference_threshold_select(reference, threshold, Provenance.TRANSLATION))
+    path = tmp_path / "predictions.tsv"
+    save_predictions(results, path)
+    assert path.read_bytes() == _reference_dump(references)
+    assert b"sem:a:-0,sem:c:-0," in path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lazy_ranking_equals_one_built_from_entries(seed):
+    for got, want in _model_rankings(seed):
+        assert "entries" not in vars(got)
+        eager = ScoredRanking(want.target, want.entries)
+        assert got == eager
+        assert hash(got) == hash(eager)
+        assert repr(got) == repr(eager)
+        assert [got.rank(s) for s, _ in want.entries] == list(range(1, len(want) + 1))
+        assert [got.score(s).hex() for s, _ in want.entries] == [v.hex() for _, v in want.entries]
