@@ -22,7 +22,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from semepred.cli import chain_argv
 from semepred.cli import main as semepred
+
+
+# Each stage's directory under --out, in chain order.
+DIRS = {"synth": "synth", "prepare": "prepared", "train": "trained", "predict": "predictions",
+        "eval": "report", "analyze": "analysis"}
 
 
 def run(args: list[str]) -> None:
@@ -51,47 +57,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give all of --triplets, --pos and --vectors, or none for a synthetic dataset")
 
     out = Path(args.out)
+    dirs = {stage: out / name for stage, name in DIRS.items()}
     common = ["--seed", str(args.seed)]
     for pair in args.set:
         common += ["--set", pair]
-    train_overrides = list(common)
-    if args.dimension is not None:
-        train_overrides += ["--set", f"train.dimension={args.dimension}"]
-    if args.epochs is not None:
-        train_overrides += ["--set", f"train.epochs={args.epochs}"]
-    synth, prep, trained, pred, evaled, analyzed = (
-        out / n for n in ("synth", "prepared", "trained", "predictions", "report", "analysis")
-    )
-
-    if all(data):
-        triplets, pos, vectors = data
-    else:
-        run(["synth", *common, "--out", str(synth)])
-        triplets, pos, vectors = (str(synth / n) for n in ("triplets.tsv", "pos.tsv", "vectors.tsv"))
-    run([
-        "prepare", *common, "--triplets", triplets, "--pos", pos, "--out", str(prep),
-    ])
-    run([
-        "train", *train_overrides, "--data", str(prep / "dataset.tsv"), "--out", str(trained),
-    ])
-    run([
-        "predict", *common, "--data", str(prep / "dataset.tsv"),
-        "--embeddings", str(trained / "embeddings.tsv"), "--vectors", vectors,
-        "--split", "test", "--out", str(pred),
-    ])
-    run([
-        "eval", *common, "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
-        "--predictions", str(pred / "predictions.tsv"),
-        "--split", "test", "--out", str(evaled),
-    ])
-    run([
-        "analyze", *common, "--data", str(prep / "dataset.tsv"),
-        "--predictions", str(pred / "predictions.tsv"),
-        "--split", "test", "--out", str(analyzed),
-    ])
+    sizes = {"dimension": args.dimension, "epochs": args.epochs}
+    extra = {"train": [f"--set=train.{name}={value}" for name, value in sizes.items() if value is not None]}
+    # Given files stand in for synth's, and synth does not run.
+    files = dict(zip(("prepare.triplets", "prepare.pos", "data.vectors"), data)) if all(data) else {}
+    for command in DIRS if not files else list(DIRS)[1:]:
+        run([*chain_argv(command, dirs, files, split="test"), *common, *extra.get(command, [])])
 
     print()
-    print((evaled / "report.txt").read_text(), end="")
+    print((dirs["eval"] / "report.txt").read_text(), end="")
     print(f"\nartifacts under {out}/")
     return 0
 

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .atomic import atomic_open
 from .config import (
@@ -256,34 +256,54 @@ _COMMANDS: dict[str, Callable[[Settings, Path], None]] = {
     "synth": cmd_synth,
 }
 
-# (flag, config key) pairs per command; flags are the highest-precedence
-# way to set the corresponding setting.
-_FLAG_KEYS: dict[str, list[tuple[str, str]]] = {
-    "prepare": [("triplets", "prepare.triplets"), ("pos", "prepare.pos"), ("out", "out")],
-    "train": [("data", "data.triplets"), ("out", "out")],
+# (flag, setting, source) rows per command; flags are the highest-precedence way to
+# set a setting.  ``source`` is the synth -> analyze chain artifact that feeds an
+# input, as (stage that writes it, file name), and None for any other flag.
+_FLAG_KEYS: dict[str, list[tuple[str, str, tuple[str, str] | None]]] = {
+    "prepare": [
+        ("triplets", "prepare.triplets", ("synth", "triplets.tsv")),
+        ("pos", "prepare.pos", ("synth", "pos.tsv")),
+        ("out", "out", None),
+    ],
+    "train": [("data", "data.triplets", ("prepare", "dataset.tsv")), ("out", "out", None)],
     "predict": [
-        ("data", "data.triplets"),
-        ("embeddings", "data.embeddings"),
-        ("vectors", "data.vectors"),
-        ("model", "predict.model"),
-        ("split", "predict.split"),
-        ("out", "out"),
+        ("data", "data.triplets", ("prepare", "dataset.tsv")),
+        ("embeddings", "data.embeddings", ("train", "embeddings.tsv")),
+        ("vectors", "data.vectors", ("synth", "vectors.tsv")),
+        ("model", "predict.model", None),
+        ("split", "predict.split", None),
+        ("out", "out", None),
     ],
     "eval": [
-        ("data", "data.triplets"),
-        ("pos", "data.pos"),
-        ("predictions", "data.predictions"),
-        ("split", "eval.split"),
-        ("out", "out"),
+        ("data", "data.triplets", ("prepare", "dataset.tsv")),
+        ("pos", "data.pos", ("prepare", "pos.tsv")),
+        ("predictions", "data.predictions", ("predict", "predictions.tsv")),
+        ("split", "eval.split", None),
+        ("out", "out", None),
     ],
     "analyze": [
-        ("data", "data.triplets"),
-        ("predictions", "data.predictions"),
-        ("split", "analyze.split"),
-        ("out", "out"),
+        ("data", "data.triplets", ("prepare", "dataset.tsv")),
+        ("predictions", "data.predictions", ("predict", "predictions.tsv")),
+        ("split", "analyze.split", None),
+        ("out", "out", None),
     ],
-    "synth": [("out", "out")],
+    "synth": [("out", "out", None)],
 }
+
+
+def chain_argv(
+    command: str, dirs: Mapping[str, Path], files: Mapping[str, str | Path] | None = None, **flags: str
+) -> list[str]:
+    """``command``'s chain step as flags from the table above: ``--out`` is ``dirs[command]``,
+    an input is ``files[setting]`` if given, else its source file in ``dirs[stage]``, and
+    ``flags`` gives other flags, such as ``split="test"``, to the commands that have them."""
+    given = {"out": dirs[command], **flags}
+    argv = [command]
+    for flag, key, source in _FLAG_KEYS[command]:
+        value = (files or {}).get(key) or (Path(dirs[source[0]], source[1]) if source else given.get(flag))
+        if value is not None:
+            argv += [f"--{flag}", str(value)]
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze": "bucketed breakdowns and a sememe difficulty table",
         "synth": "generate a synthetic dataset with known ground truth",
     }
-    for command, pairs in _FLAG_KEYS.items():
+    for command, rows in _FLAG_KEYS.items():
         sub = subparsers.add_parser(command, help=helps[command], parents=[common])
-        for flag, key in pairs:
+        for flag, key, _ in rows:
             sub.add_argument(f"--{flag}", choices=CHOICES.get(key), help=f"sets {key}")
     return parser
 
@@ -326,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     flag_overrides: dict[str, str] = {}
     if getattr(args, "seed", None) is not None:
         flag_overrides["seed"] = args.seed
-    for flag, key in _FLAG_KEYS[args.command]:
+    for flag, key, _ in _FLAG_KEYS[args.command]:
         value = getattr(args, flag, None)
         if value is not None:
             flag_overrides[key] = value

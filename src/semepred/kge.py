@@ -459,9 +459,7 @@ def rank_sememes(
     order = CandidateOrder.of(candidates)
     if not order.nodes:
         raise ContractError(f"empty candidate set for {target}")
-    if not order.all_sememes:
-        bad = next(s for s in order if s.kind is not NodeKind.SEMEME)
-        raise ContractError(f"candidate {bad} is not a sememe")
+    order.check_sememes()
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
     memo = table._candidate_rows
     if memo is not None and memo[0] is order:

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownIdError, ValidationError
+from .errors import ContractError, UnknownIdError, ValidationError
 from .graph import NodeId, NodeKind
 
 
@@ -34,8 +34,13 @@ class CandidateOrder:
         return candidates if isinstance(candidates, cls) else cls(candidates)
 
     @cached_property
-    def all_sememes(self) -> bool:
-        return all(s.kind is NodeKind.SEMEME for s in self.nodes)
+    def _non_sememe(self) -> NodeId | None:
+        return next((s for s in self.nodes if s.kind is not NodeKind.SEMEME), None)
+
+    def check_sememes(self) -> None:
+        """Raise :class:`ContractError` naming the first candidate that is not a sememe."""
+        if self._non_sememe is not None:
+            raise ContractError(f"candidate {self._non_sememe} is not a sememe")
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self.nodes)

@@ -217,9 +217,7 @@ def score_sememes(
         raise ContractError(f"no neighbors to aggregate for {target}")
     if candidates is not None:
         order = CandidateOrder.of(candidates)
-        if not order.all_sememes:
-            bad = next(s for s in order if s.kind is not NodeKind.SEMEME)
-            raise ContractError(f"candidate {bad} is not a sememe")
+        order.check_sememes()
     capped = neighbors if config.neighbor_cap is None else neighbors[: config.neighbor_cap]
     try:
         groups = [annotations[neighbor] for neighbor, _ in capped]

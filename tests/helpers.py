@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from semepred import EmbeddingTable, NodeId, RelationId
+from semepred.cli import chain_argv, main
 from semepred.graph import EQUIVALENCE_RELATION
 
 
@@ -34,3 +36,17 @@ def build_table(
             len(relation_ids), dimension
         ),
     )
+
+
+def run_chain(
+    dirs: Mapping[str, Path],
+    commands: Iterable[str],
+    files: Mapping[str, Path] | None = None,
+    common: Sequence[str] = (),
+    **extra: Sequence[str],
+) -> None:
+    """Run ``commands`` of the synth -> analyze chain in ``dirs`` on the test
+    split, each with ``common`` and its own ``extra`` arguments."""
+    for command in commands:
+        argv = [*chain_argv(command, dirs, files, split="test"), *common, *extra.get(command, ())]
+        assert main(argv) == 0, argv

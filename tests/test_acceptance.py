@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_table
+from helpers import build_table, run_chain
 from semepred import (
     FusionConfig,
     Pos,
@@ -455,33 +455,16 @@ def test_c6_hand_fixtures_reproduce_exactly():
 # -- criterion 7: pipeline determinism ---------------------------------
 
 
+def _stage_dirs(base: Path) -> dict[str, Path]:
+    return {"prepare": base / "prep", "train": base / "train", "predict": base / "pred", "eval": base / "eval"}
+
+
 def _run_pipeline(base: Path, synth: Path, seed: str) -> dict[str, bytes]:
-    prep, trained, pred, evaled = (base / n for n in ("prep", "train", "pred", "eval"))
-    assert cli_main([
-        "prepare", "--seed", seed, "--triplets", str(synth / "triplets.tsv"),
-        "--pos", str(synth / "pos.tsv"), "--out", str(prep),
-    ]) == 0
-    assert cli_main([
-        "train", "--seed", seed,
-        "--data", str(prep / "dataset.tsv"), "--out", str(trained),
-        "--set", "train.dimension=16", "--set", "train.epochs=20",
-        "--set", "train.batch_size=256",
-    ]) == 0
-    assert cli_main([
-        "predict", "--seed", seed,
-        "--data", str(prep / "dataset.tsv"),
-        "--embeddings", str(trained / "embeddings.tsv"),
-        "--vectors", str(synth / "vectors.tsv"),
-        "--split", "test", "--out", str(pred),
-    ]) == 0
-    assert cli_main([
-        "eval", "--seed", seed,
-        "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
-        "--predictions", str(pred / "predictions.tsv"),
-        "--split", "test", "--out", str(evaled),
-    ]) == 0
+    dirs = _stage_dirs(base)
+    sizes = ["--set", "train.dimension=16", "--set", "train.epochs=20", "--set", "train.batch_size=256"]
+    run_chain({"synth": synth, **dirs}, dirs, common=["--seed", seed], train=sizes)
     artifacts = {}
-    for directory in (prep, trained, pred, evaled):
+    for directory in dirs.values():
         for file in sorted(directory.iterdir()):
             artifacts[f"{directory.name}/{file.name}"] = file.read_bytes()
     return artifacts
@@ -638,27 +621,10 @@ def test_c9_stock_hyperparameters_and_report_shape(tmp_path):
         ]
         data_note = "synthetic stand-in, stock hyperparameters at reduced scale"
 
-    prep, trained, pred, evaled = (
-        tmp_path / n for n in ("prep", "train", "pred", "eval")
-    )
-    assert cli_main([
-        "prepare", "--seed", "3", "--triplets", triplets, "--pos", pos, "--out", str(prep),
-    ]) == 0
-    assert cli_main([
-        "train", "--seed", "3", "--data", str(prep / "dataset.tsv"), "--out", str(trained),
-    ] + size_overrides) == 0
-    assert cli_main([
-        "predict", "--seed", "3",
-        "--data", str(prep / "dataset.tsv"),
-        "--embeddings", str(trained / "embeddings.tsv"), "--vectors", vectors,
-        "--split", "test", "--out", str(pred),
-    ]) == 0
-    assert cli_main([
-        "eval", "--seed", "3",
-        "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
-        "--predictions", str(pred / "predictions.tsv"),
-        "--split", "test", "--out", str(evaled),
-    ]) == 0
+    dirs = _stage_dirs(tmp_path)
+    files = {"prepare.triplets": triplets, "prepare.pos": pos, "data.vectors": vectors}
+    run_chain(dirs, dirs, files, common=["--seed", "3"], train=size_overrides)
+    evaled, trained = dirs["eval"], dirs["train"]
 
     table_lines = (evaled / "report.txt").read_text().splitlines()
     assert table_lines[0].split() == ["scope", "n", "MAP", "F1"]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_chain
 from semepred import ConfigError, FusionConfig, Pos, Split, SrConfig, SynthConfig, TrainConfig
 from semepred.cli import main
 from semepred.config import (
@@ -405,40 +406,15 @@ def _synth_args(out, n_synsets=30):
 
 class TestPipelineSmoke:
     def test_full_chain_produces_all_artifacts(self, tmp_path):
-        synth = tmp_path / "synth"
-        prep = tmp_path / "prep"
-        trained = tmp_path / "train"
-        pred = tmp_path / "pred"
-        evaled = tmp_path / "eval"
-        analyzed = tmp_path / "analyze"
+        dirs = {stage: tmp_path / stage for stage in ("synth", "prepare", "train", "predict", "eval", "analyze")}
+        synth, prep, trained, pred, evaled, analyzed = dirs.values()
 
         assert main(_synth_args(synth)) == 0
-        assert main([
-            "prepare", "--triplets", str(synth / "triplets.tsv"),
-            "--pos", str(synth / "pos.tsv"), "--out", str(prep),
-        ]) == 0
-        assert main([
-            "train", "--data", str(prep / "dataset.tsv"), "--out", str(trained),
-            "--set", "train.dimension=8", "--set", "train.epochs=5",
-            "--set", "train.batch_size=64",
-        ]) == 0
-        assert main([
-            "predict", "--data", str(prep / "dataset.tsv"),
-            "--embeddings", str(trained / "embeddings.tsv"),
-            "--vectors", str(synth / "vectors.tsv"),
-            "--split", "test", "--out", str(pred),
-        ]) == 0
-        assert main([
-            "eval", "--data", str(prep / "dataset.tsv"), "--pos", str(prep / "pos.tsv"),
-            "--predictions", str(pred / "predictions.tsv"),
-            "--split", "test", "--out", str(evaled),
-        ]) == 0
-        assert main([
-            "analyze", "--data", str(prep / "dataset.tsv"),
-            "--predictions", str(pred / "predictions.tsv"),
-            "--split", "test", "--out", str(analyzed),
-            "--set", "analyze.top_k=3",
-        ]) == 0
+        run_chain(
+            dirs, list(dirs)[1:],
+            train=["--set", "train.dimension=8", "--set", "train.epochs=5", "--set", "train.batch_size=64"],
+            analyze=["--set", "analyze.top_k=3"],
+        )
 
         assert (prep / "summary.txt").exists()
         trace_lines = (trained / "loss_trace.csv").read_text().splitlines()
@@ -456,14 +432,10 @@ class TestPipelineSmoke:
             assert (out / "config.resolved").exists()
 
     def test_all_train_ratio_keeps_every_triplet_in_train(self, tmp_path):
-        synth = tmp_path / "synth"
-        prep = tmp_path / "prep"
+        dirs = {"synth": tmp_path / "synth", "prepare": tmp_path / "prep"}
+        synth, prep = dirs.values()
         assert main(_synth_args(synth, n_synsets=12)) == 0
-        assert main([
-            "prepare", "--triplets", str(synth / "triplets.tsv"),
-            "--pos", str(synth / "pos.tsv"), "--out", str(prep),
-            "--set", "prepare.ratios=1,0,0",
-        ]) == 0
+        run_chain(dirs, ["prepare"], prepare=["--set", "prepare.ratios=1,0,0"])
         store = load_triplets(prep / "dataset.tsv", prep / "pos.tsv")
         assert len(store.triplets_in(Split.TRAIN)) == len(store)
         assert store.triplets_in(Split.VALID) == ()

@@ -19,7 +19,8 @@ from semepred import (
     ValidationError,
     load_triplets,
 )
-from semepred.cli import main
+from helpers import run_chain
+from semepred.cli import chain_argv, main
 from semepred.config import load_config_file
 from semepred.errors import numbered_lines
 from semepred.fusion import load_predictions
@@ -201,33 +202,26 @@ def chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")
     settings = root / "settings.conf"
     settings.write_text("seed = 3\ntrain.dimension = 4\ntrain.epochs = 1\n", encoding="utf-8")
-    synth, prep, model, pred = (root / n for n in ("synth", "prep", "model", "pred"))
-    assert main([
-        "synth", "--config", str(settings), "--out", str(synth), "--set", "synth.n_synsets=12",
-        "--set", "synth.n_sememes=6", "--set", "synth.antonym_pairs=1", "--set", "synth.hypernym_edges=1",
-        "--set", "synth.vector_dim=3",
-    ]) == 0
-    files = {"raw": synth / "triplets.tsv", "settings": settings, "vectors": synth / "vectors.tsv",
-             "triplets": prep / "dataset.tsv", "pos": prep / "pos.tsv", "embeddings": model / "embeddings.tsv",
-             "predictions": pred / "predictions.tsv"}
-    assert main(["prepare", "--config", str(settings), "--triplets", str(files["raw"]),
-                 "--pos", str(synth / "pos.tsv"), "--out", str(prep)]) == 0
-    for command, out in (("train", model), ("predict", pred)):
-        assert main(_chain_argv(command, files, out)) == 0
-    return files
+    dirs = {"synth": root / "synth", "prepare": root / "prep", "train": root / "model", "predict": root / "pred"}
+    run_chain(dirs, dirs, common=["--config", str(settings)], synth=[
+        "--set", "synth.n_synsets=12", "--set", "synth.n_sememes=6", "--set", "synth.antonym_pairs=1",
+        "--set", "synth.hypernym_edges=1", "--set", "synth.vector_dim=3",
+    ])
+    synth, prep, model, pred = dirs.values()
+    return {"raw": synth / "triplets.tsv", "settings": settings, "vectors": synth / "vectors.tsv",
+            "triplets": prep / "dataset.tsv", "pos": prep / "pos.tsv", "embeddings": model / "embeddings.tsv",
+            "predictions": pred / "predictions.tsv"}
+
+
+# The settings each kind of chain file feeds; the prepared POS file also
+# stands in for prepare's raw one.
+FEEDS = {"raw": ["prepare.triplets"], "pos": ["prepare.pos", "data.pos"], "triplets": ["data.triplets"],
+         "vectors": ["data.vectors"], "embeddings": ["data.embeddings"], "predictions": ["data.predictions"]}
 
 
 def _chain_argv(command, files, out):
-    inputs = {
-        "prepare": ["--triplets", files["raw"], "--pos", files["pos"]],
-        "train": ["--data", files["triplets"]],
-        "predict": ["--data", files["triplets"], "--embeddings", files["embeddings"],
-                    "--vectors", files["vectors"], "--split", "test"],
-        "eval": ["--data", files["triplets"], "--pos", files["pos"], "--predictions", files["predictions"],
-                 "--split", "test"],
-        "analyze": ["--data", files["triplets"], "--predictions", files["predictions"], "--split", "test"],
-    }[command]
-    return [command, "--config", str(files["settings"]), *map(str, inputs), "--out", str(out)]
+    inputs = {key: files[kind] for kind, keys in FEEDS.items() for key in keys}
+    return [*chain_argv(command, {command: out}, inputs, split="test"), "--config", str(files["settings"])]
 
 
 # The commands that read each kind of file in the chain.

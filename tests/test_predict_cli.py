@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from helpers import run_chain
 from semepred import (
     CoverageError,
     EmbeddingTable,
@@ -44,27 +45,19 @@ def workspace(tmp_path_factory):
     """A prepared synthetic dataset, a small trained model, the full vector
     file and one that drops every other test target's vector."""
     root = tmp_path_factory.mktemp("predict")
-    synth, prep, model = root / "synth", root / "prep", root / "model"
+    dirs = {"synth": root / "synth", "prepare": root / "prep", "train": root / "model"}
+    synth, prep, model = dirs.values()
     with pytest.MonkeyPatch.context() as mp:
         for name in list(os.environ):
             if name.startswith("SEMEPRED_"):
                 mp.delenv(name)
-        assert main([
-            "synth", "--out", str(synth),
-            "--set", "synth.n_synsets=40", "--set", "synth.n_sememes=12",
-            "--set", "synth.antonym_pairs=2", "--set", "synth.hypernym_edges=3",
-            "--set", "synth.vector_dim=10", "--set", "synth.noise=0.02",
-        ]) == 0
-        assert main([
-            "prepare", "--triplets", str(synth / "triplets.tsv"),
-            "--pos", str(synth / "pos.tsv"), "--out", str(prep),
-            "--set", "prepare.ratios=0.6,0.1,0.3",
-        ]) == 0
-        assert main([
-            "train", "--data", str(prep / "dataset.tsv"), "--out", str(model),
-            "--set", "train.dimension=8", "--set", "train.epochs=3",
-            "--set", "train.batch_size=64",
-        ]) == 0
+        run_chain(
+            dirs, dirs,
+            synth=["--set", "synth.n_synsets=40", "--set", "synth.n_sememes=12", "--set", "synth.antonym_pairs=2",
+                   "--set", "synth.hypernym_edges=3", "--set", "synth.vector_dim=10", "--set", "synth.noise=0.02"],
+            prepare=["--set", "prepare.ratios=0.6,0.1,0.3"],
+            train=["--set", "train.dimension=8", "--set", "train.epochs=3", "--set", "train.batch_size=64"],
+        )
     store = load_triplets(prep / "dataset.tsv", prep / "pos.tsv")
     targets = sorted(store.annotation_map(Split.TEST), key=lambda n: n.name)
     dropped = {t.name for t in targets[::2]}

@@ -3,18 +3,29 @@
 Only ``prepare`` and ``eval`` read a POS file; ``config.resolved`` is the
 last file a command writes, and a run that starts removes the previous
 run's, so a stage directory holds it only after a command has finished.
+The CLI's flag table names each input's source in the chain, and the
+commands agree with it.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import runpy
+from pathlib import Path
 
 import pytest
 
-from semepred import graph
-from semepred.cli import main
+from helpers import run_chain
+from semepred import cli, graph
+from semepred.cli import chain_argv, main
 
 TRAIN = ["--set", "train.dimension=8", "--set", "train.epochs=1"]
+TINY = ["--set", "synth.n_synsets=20", "--set", "synth.n_sememes=6", "--set", "synth.antonym_pairs=1",
+        "--set", "synth.hypernym_edges=1", "--set", "synth.vector_dim=4"]
+STAGES = ("synth", "prepare", "train", "predict", "eval", "analyze")
+PATH_SETTINGS = {"prepare.triplets", "prepare.pos", "data.triplets", "data.pos", "data.vectors",
+                 "data.embeddings", "data.predictions"}
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +41,8 @@ def tagged(tmp_path_factory):
     """A prepared dataset whose POS file also tags ``sem:zzz``, a node no
     triplet names, and a model and a dump made without the POS file."""
     root = tmp_path_factory.mktemp("tagged")
-    synth, prep, model, pred = root / "synth", root / "prep", root / "model", root / "pred"
+    dirs = {"synth": root / "synth", "prepare": root / "prep", "train": root / "model", "predict": root / "pred"}
+    synth, prep, model, _ = dirs.values()
     with pytest.MonkeyPatch.context() as mp:
         for name in list(os.environ):
             if name.startswith("SEMEPRED_"):
@@ -38,37 +50,15 @@ def tagged(tmp_path_factory):
         assert main(["synth", "--seed", "3", "--out", str(synth)]) == 0
         with open(synth / "pos.tsv", "a", encoding="utf-8") as fh:
             fh.write("sem:zzz\tnoun\n")
-        assert main([
-            "prepare", "--triplets", str(synth / "triplets.tsv"), "--pos", str(synth / "pos.tsv"),
-            "--out", str(prep), "--set", "prepare.min_node_degree=0",
-        ]) == 0
-        assert main(["train", "--data", str(prep / "dataset.tsv"), "--out", str(model), *TRAIN]) == 0
-        assert main([
-            "predict", "--data", str(prep / "dataset.tsv"), "--embeddings", str(model / "embeddings.tsv"),
-            "--vectors", str(synth / "vectors.tsv"), "--split", "test", "--out", str(pred),
-        ]) == 0
+        run_chain(dirs, ["prepare", "train", "predict"], prepare=["--set", "prepare.min_node_degree=0"], train=TRAIN)
     assert "sem:zzz\tnoun" in (prep / "pos.tsv").read_text(encoding="utf-8").splitlines()
-    return {
-        "root": root,
-        "data": prep / "dataset.tsv",
-        "pos": prep / "pos.tsv",
-        "vectors": synth / "vectors.tsv",
-        "model": model,
-        "predictions": pred / "predictions.tsv",
-    }
+    return {"root": root, "dirs": dirs, "pos": prep / "pos.tsv", "model": model}
 
 
 def _argv(ws, command, out, *extra):
     """``command`` on the tagged dataset, with every input it may read."""
-    argv = [command, "--data", str(ws["data"]), "--out", str(out), *extra]
-    if command == "predict":
-        argv += ["--embeddings", str(ws["model"] / "embeddings.tsv"), "--vectors", str(ws["vectors"]),
-                 "--split", "test"]
-    if command in ("eval", "analyze"):
-        argv += ["--predictions", str(ws["predictions"]), "--split", "test"]
-    if command == "train":
-        argv += TRAIN
-    return argv
+    train = TRAIN if command == "train" else []
+    return [*chain_argv(command, {**ws["dirs"], command: out}, split="test"), *train, *extra]
 
 
 def _predict(ws, name, *extra):
@@ -126,7 +116,7 @@ class TestStageCommit:
                         "--out", str(tmp_path / "prepare")],
             "train": _argv(tagged, "train", tmp_path / "train"),
             "predict": _argv(tagged, "predict", tmp_path / "predict"),
-            "eval": _argv(tagged, "eval", tmp_path / "eval", "--pos", str(tagged["pos"])),
+            "eval": _argv(tagged, "eval", tmp_path / "eval"),
             "analyze": _argv(tagged, "analyze", tmp_path / "analyze"),
         }
         for command, argv in runs.items():
@@ -151,3 +141,76 @@ class TestStageCommit:
         out = _predict(tagged, "rerun_config")
         assert main(_argv(tagged, "predict", out, "--set", "fusion.similarity_weight=-1")) == 1
         assert not (out / "config.resolved").exists()
+
+
+@pytest.fixture(scope="module")
+def table_chain(tmp_path_factory):
+    """The chain at a tiny shape from the flag table, and the path settings
+    each command read, whether set or not."""
+    root = tmp_path_factory.mktemp("table")
+    dirs = {stage: root / stage for stage in STAGES}
+    log, read = [], {}
+
+    def recording(path_of):
+        def record(settings, key):
+            log.append(key)
+            return path_of(settings, key)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in list(os.environ):
+            if name.startswith("SEMEPRED_"):
+                mp.delenv(name)
+        for reader in ("_existing_path", "_optional_path"):
+            mp.setattr(cli, reader, recording(getattr(cli, reader)))
+        for command in STAGES:
+            log.clear()
+            run_chain(dirs, [command], synth=TINY, train=TRAIN)
+            read[command] = set(log)
+    return dirs, read
+
+
+class TestChainTable:
+    def test_every_input_exists_where_an_earlier_stage_wrote_it(self, table_chain):
+        dirs, _ = table_chain
+        for command, rows in cli._FLAG_KEYS.items():
+            for _, key, source in rows:
+                if source is not None:
+                    stage, name = source
+                    assert STAGES.index(stage) < STAGES.index(command), (command, key)
+                    assert (dirs[stage] / name).is_file(), (command, key)
+
+    def test_every_table_key_has_its_flag_in_the_command_parser(self):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(cli._FLAG_KEYS) == set(STAGES)
+        for command, rows in cli._FLAG_KEYS.items():
+            actions = subparsers.choices[command]._option_string_actions
+            for flag, key, _ in rows:
+                assert actions[f"--{flag}"].help == f"sets {key}", (command, flag)
+
+    def test_every_path_setting_a_command_reads_is_one_of_its_table_inputs(self, table_chain):
+        _, read = table_chain
+        assert set().union(*read.values()) == PATH_SETTINGS
+        for command, rows in cli._FLAG_KEYS.items():
+            assert read[command] == {key for _, key, source in rows if source is not None}, command
+
+
+def test_protocol_script_from_files_writes_what_its_synthetic_mode_writes(tmp_path):
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "run_full_protocol.py"))
+    shape = ["--dimension", "4", "--epochs", "1", *TINY]
+    assert script["main"](["--out", str(tmp_path / "synthetic"), *shape]) == 0
+    synth = tmp_path / "synthetic" / "synth"
+    inputs = [f"--{kind}={synth / f'{kind}.tsv'}" for kind in ("triplets", "pos", "vectors")]
+    assert script["main"](["--out", str(tmp_path / "files"), *inputs, *shape]) == 0
+    artifacts = {}
+    for mode in ("synthetic", "files"):
+        out = tmp_path / mode
+        artifacts[mode] = {
+            str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "config.resolved" and f.parent != synth
+        }
+    assert {name.split("/")[0] for name in artifacts["files"]} == {
+        "prepared", "trained", "predictions", "report", "analysis"
+    }
+    assert artifacts["files"] == artifacts["synthetic"]
