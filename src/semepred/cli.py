@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .atomic import atomic_open
 from .config import (
@@ -143,9 +143,12 @@ _PROVENANCE = {
 
 
 def cmd_predict(settings: Settings, out: Path) -> None:
+    model = str(settings["predict.model"])
+    raw_scores = bool(settings["fusion.raw_scores"])
+    if raw_scores and model == "fused":
+        raise ConfigError("fusion.raw_scores=true needs predict.model=similarity or translation, not fused")
     store = load_triplets(_existing_path(settings, "data.triplets"))
     split = Split(str(settings["predict.split"]))
-    model = str(settings["predict.model"])
     fcfg = fusion_config(settings)
     scfg = sr_config(settings)
 
@@ -165,7 +168,6 @@ def cmd_predict(settings: Settings, out: Path) -> None:
         raise ContractError("no model inputs: set data.embeddings and/or data.vectors")
     table = EmbeddingTable.load(embeddings) if embeddings else None
     vectors = SemanticVectorStore.load(vectors_path, known_synsets=store.synsets) if vectors_path else None
-    raw_scores = bool(settings["fusion.raw_scores"]) and model != "fused"
 
     targets = store.annotation_map(split)
     candidates = CandidateOrder(store.sememes)
@@ -247,59 +249,61 @@ def cmd_synth(settings: Settings, out: Path) -> None:
     vectors.save(out / "vectors.tsv")
 
 
-_COMMANDS: dict[str, Callable[[Settings, Path], None]] = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
-    "analyze": cmd_analyze,
-    "synth": cmd_synth,
-}
+class _Command(NamedTuple):
+    """One command: what it runs, its ``--help`` line, and its ``(flag, setting, source)``
+    rows.  Flags are the highest-precedence way to set a setting; ``source`` is the
+    synth -> analyze chain artifact that feeds an input, as (stage that writes it,
+    file name), and None for any other flag."""
 
-# (flag, setting, source) rows per command; flags are the highest-precedence way to
-# set a setting.  ``source`` is the synth -> analyze chain artifact that feeds an
-# input, as (stage that writes it, file name), and None for any other flag.
-_FLAG_KEYS: dict[str, list[tuple[str, str, tuple[str, str] | None]]] = {
-    "prepare": [
+    run: Callable[[Settings, Path], None]
+    help: str
+    flags: tuple[tuple[str, str, tuple[str, str] | None], ...]
+
+
+_COMMAND_TABLE: dict[str, _Command] = {
+    "prepare": _Command(cmd_prepare, "filter a raw triplet file and split it into train/valid/test", (
         ("triplets", "prepare.triplets", ("synth", "triplets.tsv")),
         ("pos", "prepare.pos", ("synth", "pos.tsv")),
         ("out", "out", None),
-    ],
-    "train": [("data", "data.triplets", ("prepare", "dataset.tsv")), ("out", "out", None)],
-    "predict": [
+    )),
+    "train": _Command(cmd_train, "learn relational embeddings from a prepared dataset", (
+        ("data", "data.triplets", ("prepare", "dataset.tsv")),
+        ("out", "out", None),
+    )),
+    "predict": _Command(cmd_predict, "rank and select sememes for a split's synsets", (
         ("data", "data.triplets", ("prepare", "dataset.tsv")),
         ("embeddings", "data.embeddings", ("train", "embeddings.tsv")),
         ("vectors", "data.vectors", ("synth", "vectors.tsv")),
         ("model", "predict.model", None),
         ("split", "predict.split", None),
         ("out", "out", None),
-    ],
-    "eval": [
+    )),
+    "eval": _Command(cmd_eval, "score a prediction dump with MAP and F1", (
         ("data", "data.triplets", ("prepare", "dataset.tsv")),
         ("pos", "data.pos", ("prepare", "pos.tsv")),
         ("predictions", "data.predictions", ("predict", "predictions.tsv")),
         ("split", "eval.split", None),
         ("out", "out", None),
-    ],
-    "analyze": [
+    )),
+    "analyze": _Command(cmd_analyze, "bucketed breakdowns and a sememe difficulty table", (
         ("data", "data.triplets", ("prepare", "dataset.tsv")),
         ("predictions", "data.predictions", ("predict", "predictions.tsv")),
         ("split", "analyze.split", None),
         ("out", "out", None),
-    ],
-    "synth": [("out", "out", None)],
+    )),
+    "synth": _Command(cmd_synth, "generate a synthetic dataset with known ground truth", (("out", "out", None),)),
 }
 
 
 def chain_argv(
     command: str, dirs: Mapping[str, Path], files: Mapping[str, str | Path] | None = None, **flags: str
 ) -> list[str]:
-    """``command``'s chain step as flags from the table above: ``--out`` is ``dirs[command]``,
+    """``command``'s chain step as flags from its table row: ``--out`` is ``dirs[command]``,
     an input is ``files[setting]`` if given, else its source file in ``dirs[stage]``, and
     ``flags`` gives other flags, such as ``split="test"``, to the commands that have them."""
     given = {"out": dirs[command], **flags}
     argv = [command]
-    for flag, key, source in _FLAG_KEYS[command]:
+    for flag, key, source in _COMMAND_TABLE[command].flags:
         value = (files or {}).get(key) or (Path(dirs[source[0]], source[1]) if source else given.get(flag))
         if value is not None:
             argv += [f"--{flag}", str(value)]
@@ -324,17 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", default=argparse.SUPPRESS, help="global random seed")
     parser = _Parser(prog="semepred", description="Sememe prediction pipeline", parents=[common])
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "prepare": "filter a raw triplet file and split it into train/valid/test",
-        "train": "learn relational embeddings from a prepared dataset",
-        "predict": "rank and select sememes for a split's synsets",
-        "eval": "score a prediction dump with MAP and F1",
-        "analyze": "bucketed breakdowns and a sememe difficulty table",
-        "synth": "generate a synthetic dataset with known ground truth",
-    }
-    for command, rows in _FLAG_KEYS.items():
-        sub = subparsers.add_parser(command, help=helps[command], parents=[common])
-        for flag, key, _ in rows:
+    for name, command in _COMMAND_TABLE.items():
+        sub = subparsers.add_parser(name, help=command.help, parents=[common])
+        for flag, key, _ in command.flags:
             sub.add_argument(f"--{flag}", choices=CHOICES.get(key), help=f"sets {key}")
     return parser
 
@@ -346,7 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     flag_overrides: dict[str, str] = {}
     if getattr(args, "seed", None) is not None:
         flag_overrides["seed"] = args.seed
-    for flag, key, _ in _FLAG_KEYS[args.command]:
+    command = _COMMAND_TABLE[args.command]
+    for flag, key, _ in command.flags:
         value = getattr(args, flag, None)
         if value is not None:
             flag_overrides[key] = value
@@ -355,7 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             getattr(args, "config", None), getattr(args, "set", []), os.environ, flag_overrides
         )
         out = _out_dir(settings)
-        _COMMANDS[args.command](settings, out)
+        command.run(settings, out)
         settings.write_echo(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

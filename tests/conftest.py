@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from semepred import TripletStore, make_triplet, sememe_id, synset_id
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_semepred_env():
+    """The CLI reads os.environ, so a stray ``SEMEPRED_*`` override would leak into
+    every run; clear them for the session, before any module fixture runs.  Tests
+    that set one use ``monkeypatch.setenv``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in list(os.environ):
+            if name.startswith("SEMEPRED_"):
+                mp.delenv(name)
+        yield
 
 
 @pytest.fixture

@@ -38,6 +38,28 @@ def build_table(
     )
 
 
+def finite_difference(loss_fn, matrix: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``loss_fn()`` with respect to each entry of
+    ``matrix``, which is perturbed in place and restored."""
+    grad = np.zeros_like(matrix)
+    it = np.nditer(matrix, flags=["multi_index"])
+    while not it.finished:
+        index = it.multi_index
+        original = matrix[index]
+        matrix[index] = original + epsilon
+        up = loss_fn()
+        matrix[index] = original - epsilon
+        down = loss_fn()
+        matrix[index] = original
+        grad[index] = (up - down) / (2.0 * epsilon)
+        it.iternext()
+    return grad
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-8)))
+
+
 def run_chain(
     dirs: Mapping[str, Path],
     commands: Iterable[str],

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_table, run_chain
+from helpers import build_table, finite_difference, max_relative_error, run_chain
 from semepred import (
     FusionConfig,
     Pos,
@@ -58,38 +58,11 @@ from semepred.synthetic import similarity_score_oracle, translation_distance_ora
 HAVE = RelationId(RelationKind.HAVE_SEMEME, "have_sememe")
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    for name in list(os.environ):
-        if name.startswith("SEMEPRED_"):
-            monkeypatch.delenv(name)
-
-
 def _pass(line: str) -> None:
     print(f"PASS {line}")
 
 
 # -- criterion 1: analytic gradients vs finite differences -------------
-
-
-def _finite_difference(loss_fn, matrix: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
-    grad = np.zeros_like(matrix)
-    it = np.nditer(matrix, flags=["multi_index"])
-    while not it.finished:
-        index = it.multi_index
-        original = matrix[index]
-        matrix[index] = original + epsilon
-        up = loss_fn()
-        matrix[index] = original - epsilon
-        down = loss_fn()
-        matrix[index] = original
-        grad[index] = (up - down) / (2.0 * epsilon)
-        it.iternext()
-    return grad
-
-
-def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + 1e-8)))
 
 
 def test_c1_gradients_match_finite_differences():
@@ -126,24 +99,24 @@ def test_c1_gradients_match_finite_differences():
 
     worst = 0.0
     _, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, margin)
-    fd_nodes = _finite_difference(
+    fd_nodes = finite_difference(
         lambda: margin_ranking_loss(table, positives, negatives, margin), table.node_matrix
     )
-    fd_rels = _finite_difference(
+    fd_rels = finite_difference(
         lambda: margin_ranking_loss(table, positives, negatives, margin), table.relation_matrix
     )
-    worst = max(worst, _max_relative_error(node_grad, fd_nodes))
-    worst = max(worst, _max_relative_error(rel_grad, fd_rels))
+    worst = max(worst, max_relative_error(node_grad, fd_nodes))
+    worst = max(worst, max_relative_error(rel_grad, fd_rels))
 
     _, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
-    fd_nodes = _finite_difference(
+    fd_nodes = finite_difference(
         lambda: equivalence_loss(table, annotations), table.node_matrix
     )
-    fd_rels = _finite_difference(
+    fd_rels = finite_difference(
         lambda: equivalence_loss(table, annotations), table.relation_matrix
     )
-    worst = max(worst, _max_relative_error(node_grad, fd_nodes))
-    worst = max(worst, _max_relative_error(rel_grad, fd_rels))
+    worst = max(worst, max_relative_error(node_grad, fd_nodes))
+    worst = max(worst, max_relative_error(rel_grad, fd_rels))
 
     elapsed = time.perf_counter() - start
     assert worst < 1e-4

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -25,14 +24,6 @@ from semepred.config import (
 )
 from semepred.evaluation import BucketQuantity
 from semepred.graph import format_stats, load_triplets, save_pos_tags, save_triplets
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    # The CLI reads os.environ; stray overrides would leak into every run.
-    for name in list(os.environ):
-        if name.startswith("SEMEPRED_"):
-            monkeypatch.delenv(name)
 
 
 class TestParsing:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import build_table
+from helpers import build_table, finite_difference, max_relative_error
 from semepred import (
     ConfigError,
     ContractError,
@@ -439,27 +439,6 @@ class TestAnnotationGroups:
             assert [part.tolist() for part in got] == [synset_rows, flat, offsets]
 
 
-def _finite_difference(loss_fn, matrix, epsilon=1e-5):
-    grad = np.zeros_like(matrix)
-    it = np.nditer(matrix, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        original = matrix[idx]
-        matrix[idx] = original + epsilon
-        up = loss_fn()
-        matrix[idx] = original - epsilon
-        down = loss_fn()
-        matrix[idx] = original
-        grad[idx] = (up - down) / (2 * epsilon)
-        it.iternext()
-    return grad
-
-
-def _relative_error(analytic, numeric):
-    denom = np.abs(analytic) + np.abs(numeric) + 1e-8
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 class TestGradients:
     def test_margin_gradients_match_finite_differences(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=2))
@@ -468,28 +447,28 @@ class TestGradients:
         margin = 4.0
         loss, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, margin)
         assert loss > 0
-        fd_nodes = _finite_difference(
+        fd_nodes = finite_difference(
             lambda: margin_ranking_loss(table, positives, negatives, margin), table.node_matrix
         )
-        fd_rels = _finite_difference(
+        fd_rels = finite_difference(
             lambda: margin_ranking_loss(table, positives, negatives, margin), table.relation_matrix
         )
-        assert _relative_error(node_grad, fd_nodes) < 1e-4
-        assert _relative_error(rel_grad, fd_rels) < 1e-4
+        assert max_relative_error(node_grad, fd_nodes) < 1e-4
+        assert max_relative_error(rel_grad, fd_rels) < 1e-4
 
     def test_equivalence_gradients_match_finite_differences(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=2))
         annotations = toy_store.annotation_map(Split.TRAIN)
         loss, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
         assert loss > 0
-        fd_nodes = _finite_difference(
+        fd_nodes = finite_difference(
             lambda: equivalence_loss(table, annotations), table.node_matrix
         )
-        fd_rels = _finite_difference(
+        fd_rels = finite_difference(
             lambda: equivalence_loss(table, annotations), table.relation_matrix
         )
-        assert _relative_error(node_grad, fd_nodes) < 1e-4
-        assert _relative_error(rel_grad, fd_rels) < 1e-4
+        assert max_relative_error(node_grad, fd_nodes) < 1e-4
+        assert max_relative_error(rel_grad, fd_rels) < 1e-4
 
 
 def _forced_negative_store() -> TripletStore:

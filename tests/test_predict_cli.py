@@ -8,7 +8,6 @@ for its coverage and provenance counts.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -32,14 +31,6 @@ SIM_WEIGHT = fusion_config(DEFAULTS).similarity_weight
 TR_WEIGHT = fusion_config(DEFAULTS).translation_weight
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    # The CLI reads os.environ; stray overrides would leak into every run.
-    for name in list(os.environ):
-        if name.startswith("SEMEPRED_"):
-            monkeypatch.delenv(name)
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A prepared synthetic dataset, a small trained model, the full vector
@@ -47,17 +38,13 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("predict")
     dirs = {"synth": root / "synth", "prepare": root / "prep", "train": root / "model"}
     synth, prep, model = dirs.values()
-    with pytest.MonkeyPatch.context() as mp:
-        for name in list(os.environ):
-            if name.startswith("SEMEPRED_"):
-                mp.delenv(name)
-        run_chain(
-            dirs, dirs,
-            synth=["--set", "synth.n_synsets=40", "--set", "synth.n_sememes=12", "--set", "synth.antonym_pairs=2",
-                   "--set", "synth.hypernym_edges=3", "--set", "synth.vector_dim=10", "--set", "synth.noise=0.02"],
-            prepare=["--set", "prepare.ratios=0.6,0.1,0.3"],
-            train=["--set", "train.dimension=8", "--set", "train.epochs=3", "--set", "train.batch_size=64"],
-        )
+    run_chain(
+        dirs, dirs,
+        synth=["--set", "synth.n_synsets=40", "--set", "synth.n_sememes=12", "--set", "synth.antonym_pairs=2",
+               "--set", "synth.hypernym_edges=3", "--set", "synth.vector_dim=10", "--set", "synth.noise=0.02"],
+        prepare=["--set", "prepare.ratios=0.6,0.1,0.3"],
+        train=["--set", "train.dimension=8", "--set", "train.epochs=3", "--set", "train.batch_size=64"],
+    )
     store = load_triplets(prep / "dataset.tsv", prep / "pos.tsv")
     targets = sorted(store.annotation_map(Split.TEST), key=lambda n: n.name)
     dropped = {t.name for t in targets[::2]}
@@ -186,6 +173,14 @@ class TestSingleModels:
         covered = {t: dict(sim.entries) for t, (_, sim) in rankings.items() if sim is not None}
         _check_dump(out, covered)
         _check_summary(out, len(rankings), len(rankings) - len(covered), similarity=len(covered))
+
+    @pytest.mark.parametrize("model", ["fused", None])
+    def test_raw_scores_with_the_fused_model_is_a_config_error(self, workspace, capsys, model):
+        out = _predict(workspace, f"raw_{model}", embeddings=True, vectors="vectors", model=model,
+                       sets=["fusion.raw_scores=true"], exit_code=1)
+        err = capsys.readouterr().err
+        assert "config error: fusion.raw_scores=true needs predict.model=similarity or translation" in err
+        assert not (out / "predictions.tsv").exists()
 
     @pytest.mark.parametrize(
         ("model", "unused", "key"),

@@ -28,14 +28,6 @@ PATH_SETTINGS = {"prepare.triplets", "prepare.pos", "data.triplets", "data.pos",
                  "data.embeddings", "data.predictions"}
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    # The CLI reads os.environ; stray overrides would leak into every run.
-    for name in list(os.environ):
-        if name.startswith("SEMEPRED_"):
-            monkeypatch.delenv(name)
-
-
 @pytest.fixture(scope="module")
 def tagged(tmp_path_factory):
     """A prepared dataset whose POS file also tags ``sem:zzz``, a node no
@@ -43,14 +35,10 @@ def tagged(tmp_path_factory):
     root = tmp_path_factory.mktemp("tagged")
     dirs = {"synth": root / "synth", "prepare": root / "prep", "train": root / "model", "predict": root / "pred"}
     synth, prep, model, _ = dirs.values()
-    with pytest.MonkeyPatch.context() as mp:
-        for name in list(os.environ):
-            if name.startswith("SEMEPRED_"):
-                mp.delenv(name)
-        assert main(["synth", "--seed", "3", "--out", str(synth)]) == 0
-        with open(synth / "pos.tsv", "a", encoding="utf-8") as fh:
-            fh.write("sem:zzz\tnoun\n")
-        run_chain(dirs, ["prepare", "train", "predict"], prepare=["--set", "prepare.min_node_degree=0"], train=TRAIN)
+    assert main(["synth", "--seed", "3", "--out", str(synth)]) == 0
+    with open(synth / "pos.tsv", "a", encoding="utf-8") as fh:
+        fh.write("sem:zzz\tnoun\n")
+    run_chain(dirs, ["prepare", "train", "predict"], prepare=["--set", "prepare.min_node_degree=0"], train=TRAIN)
     assert "sem:zzz\tnoun" in (prep / "pos.tsv").read_text(encoding="utf-8").splitlines()
     return {"root": root, "dirs": dirs, "pos": prep / "pos.tsv", "model": model}
 
@@ -158,9 +146,6 @@ def table_chain(tmp_path_factory):
         return record
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in list(os.environ):
-            if name.startswith("SEMEPRED_"):
-                mp.delenv(name)
         for reader in ("_existing_path", "_optional_path"):
             mp.setattr(cli, reader, recording(getattr(cli, reader)))
         for command in STAGES:
@@ -173,8 +158,8 @@ def table_chain(tmp_path_factory):
 class TestChainTable:
     def test_every_input_exists_where_an_earlier_stage_wrote_it(self, table_chain):
         dirs, _ = table_chain
-        for command, rows in cli._FLAG_KEYS.items():
-            for _, key, source in rows:
+        for command, row in cli._COMMAND_TABLE.items():
+            for _, key, source in row.flags:
                 if source is not None:
                     stage, name = source
                     assert STAGES.index(stage) < STAGES.index(command), (command, key)
@@ -182,17 +167,20 @@ class TestChainTable:
 
     def test_every_table_key_has_its_flag_in_the_command_parser(self):
         subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(subparsers.choices) == set(cli._FLAG_KEYS) == set(STAGES)
-        for command, rows in cli._FLAG_KEYS.items():
+        assert set(subparsers.choices) == set(cli._COMMAND_TABLE) == set(STAGES)
+        helps = {action.dest: action.help for action in subparsers._choices_actions}
+        for command, row in cli._COMMAND_TABLE.items():
+            assert row.run is getattr(cli, f"cmd_{command}"), command
+            assert helps[command] == row.help, command
             actions = subparsers.choices[command]._option_string_actions
-            for flag, key, _ in rows:
+            for flag, key, _ in row.flags:
                 assert actions[f"--{flag}"].help == f"sets {key}", (command, flag)
 
     def test_every_path_setting_a_command_reads_is_one_of_its_table_inputs(self, table_chain):
         _, read = table_chain
         assert set().union(*read.values()) == PATH_SETTINGS
-        for command, rows in cli._FLAG_KEYS.items():
-            assert read[command] == {key for _, key, source in rows if source is not None}, command
+        for command, row in cli._COMMAND_TABLE.items():
+            assert read[command] == {key for _, key, source in row.flags if source is not None}, command
 
 
 def test_protocol_script_from_files_writes_what_its_synthetic_mode_writes(tmp_path):
