@@ -7,7 +7,7 @@ and F1 plus bucketed analyses.  A synthetic generator produces datasets
 with known ground truth for end-to-end verification.
 """
 
-from .embeddings import EmbeddingTable, init_embeddings
+from .embeddings import EmbeddingTable
 from .errors import (
     ConfigError,
     ContractError,
@@ -58,8 +58,8 @@ from .kge import (
     NegativeSampler,
     TrainConfig,
     TrainResult,
-    equivalence_loss,
-    margin_ranking_loss,
+    init_embeddings,
+    loss_gradients,
     rank_sememes,
     score_triplet,
     train,
@@ -105,7 +105,6 @@ __all__ = [
     "ValidationError",
     "average_precision",
     "bucket_analysis",
-    "equivalence_loss",
     "evaluate",
     "f1_score",
     "fuse",
@@ -113,8 +112,8 @@ __all__ = [
     "init_embeddings",
     "load_predictions",
     "load_triplets",
+    "loss_gradients",
     "make_triplet",
-    "margin_ranking_loss",
     "rank_neighbors",
     "rank_sememes",
     "recommend",

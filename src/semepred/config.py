@@ -252,7 +252,10 @@ def train_config(settings: Settings) -> TrainConfig:
 
 
 def sr_config(settings: Settings) -> SrConfig:
-    return _module_config(SrConfig, settings, neighbor_cap=int(settings["sr.neighbor_cap"]) or None)
+    cap = int(settings["sr.neighbor_cap"])
+    if cap < 0:
+        raise ConfigError(f"sr.neighbor_cap must be >= 0 (0 = no cap), got {cap}")
+    return _module_config(SrConfig, settings, neighbor_cap=cap or None)
 
 
 def fusion_config(settings: Settings) -> FusionConfig:

@@ -10,24 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import ParseError, UnknownIdError, ValidationError, numbered_lines
-from .graph import (
-    EQUIVALENCE_RELATION,
-    NodeId,
-    RelationId,
-    RelationKind,
-    Triplet,
-    TripletStore,
-)
-
-if TYPE_CHECKING:
-    from .kge import TrainConfig
-    from .ranking import CandidateOrder
+from .graph import NodeId, RelationId, RelationKind, Triplet
 
 K = TypeVar("K")
 
@@ -87,12 +76,14 @@ def stack_rows(rows: Sequence[tuple[object, np.ndarray]], dimension: int) -> np.
     return np.array([vec for _, vec in rows], dtype=np.float64).reshape(len(rows), dimension)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
     """Dense embeddings addressed by node and relation ids.
 
     Nodes are stored sorted by name and relations by (kind, name), so the
-    row order is a pure function of the id sets.
+    row order is a pure function of the id sets.  A table compares (and
+    hashes) by identity, like the mutable matrices it holds; compare two
+    tables' matrices with ``np.array_equal``.
     """
 
     dimension: int
@@ -118,9 +109,6 @@ class EmbeddingTable:
             raise ValidationError("relation ids must be sorted by (kind, name)")
         self._node_index = {n: i for i, n in enumerate(self.node_ids)}
         self._relation_index = {r: i for i, r in enumerate(self.relation_ids)}
-        # kge.rank_sememes' (candidate order, row indices) for the last
-        # candidate set it ranked.
-        self._candidate_rows: tuple[CandidateOrder, np.ndarray] | None = None
 
     def node_index(self, node: NodeId) -> int:
         try:
@@ -133,6 +121,13 @@ class EmbeddingTable:
             return self._relation_index[relation]
         except KeyError as exc:
             raise UnknownIdError(f"no embedding for relation {relation}") from exc
+
+    def node_rows(self, nodes: Sequence[NodeId]) -> np.ndarray:
+        """The row index of each of ``nodes``, in order, as one ``intp`` array."""
+        try:
+            return np.fromiter(map(self._node_index.__getitem__, nodes), dtype=np.intp, count=len(nodes))
+        except KeyError as exc:
+            raise UnknownIdError(f"no embedding for node {exc.args[0]}") from exc
 
     def node_vector(self, node: NodeId) -> np.ndarray:
         return self.node_matrix[self.node_index(node)]
@@ -175,37 +170,3 @@ class EmbeddingTable:
 
 def _parse_table_id(text: str) -> NodeId | RelationId:
     return RelationId.parse(text) if text.startswith("rel:") else NodeId.parse(text)
-
-
-def normalize_rows(rows: np.ndarray) -> None:
-    """Divide each row of ``rows`` by its norm, in place; a zero row stays as it is."""
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    rows /= norms
-
-
-def init_embeddings(store: TripletStore, config: "TrainConfig") -> EmbeddingTable:
-    """Draw initial embeddings uniformly from +-6/sqrt(D).
-
-    The learned equivalence relation gets a row alongside the file
-    relations.  With ``normalize_entities`` node rows start at unit length,
-    which the trainer then maintains for every touched row.
-    """
-    dim = config.dimension
-    bound = 6.0 / np.sqrt(dim)
-    rng = np.random.default_rng(config.seed)
-    node_ids = store.nodes
-    relation_ids = tuple(
-        sorted(set(store.relations) | {EQUIVALENCE_RELATION}, key=lambda r: r.sort_key)
-    )
-    node_matrix = rng.uniform(-bound, bound, size=(len(node_ids), dim))
-    relation_matrix = rng.uniform(-bound, bound, size=(len(relation_ids), dim))
-    if config.normalize_entities:
-        normalize_rows(node_matrix)
-    return EmbeddingTable(
-        dimension=dim,
-        node_ids=node_ids,
-        relation_ids=relation_ids,
-        node_matrix=node_matrix,
-        relation_matrix=relation_matrix,
-    )

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .atomic import atomic_open
-from .embeddings import EmbeddingTable, init_embeddings, normalize_rows
+from .embeddings import EmbeddingTable
 from .errors import ConfigError, ContractError, ParseError, SamplingError, TrainingError, numbered_lines
 from .graph import (
     EQUIVALENCE_RELATION,
@@ -67,6 +67,8 @@ class TrainConfig:
         for name in ("ranking_weight", "equivalence_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.ranking_weight + self.equivalence_weight <= 0:
+            raise ConfigError("at least one loss weight must be positive")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
@@ -77,6 +79,40 @@ class TrainConfig:
             raise ConfigError(f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}")
         if self.max_resample < 1:
             raise ConfigError(f"max_resample must be >= 1, got {self.max_resample}")
+
+
+def normalize_rows(rows: np.ndarray) -> None:
+    """Divide each row of ``rows`` by its norm, in place; a zero row stays as it is."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    rows /= norms
+
+
+def init_embeddings(store: TripletStore, config: TrainConfig) -> EmbeddingTable:
+    """Draw initial embeddings uniformly from +-6/sqrt(D).
+
+    The learned equivalence relation gets a row alongside the file
+    relations.  With ``normalize_entities`` node rows start at unit length,
+    which the trainer then maintains for every touched row.
+    """
+    dim = config.dimension
+    bound = 6.0 / np.sqrt(dim)
+    rng = np.random.default_rng(config.seed)
+    node_ids = store.nodes
+    relation_ids = tuple(
+        sorted(set(store.relations) | {EQUIVALENCE_RELATION}, key=lambda r: r.sort_key)
+    )
+    node_matrix = rng.uniform(-bound, bound, size=(len(node_ids), dim))
+    relation_matrix = rng.uniform(-bound, bound, size=(len(relation_ids), dim))
+    if config.normalize_entities:
+        normalize_rows(node_matrix)
+    return EmbeddingTable(
+        dimension=dim,
+        node_ids=node_ids,
+        relation_ids=relation_ids,
+        node_matrix=node_matrix,
+        relation_matrix=relation_matrix,
+    )
 
 
 def score_triplet(table: EmbeddingTable, triplet: Triplet) -> float:
@@ -285,11 +321,21 @@ def _update_block(
     return l1, l2, block, node_idx, rel_idx, rel_src
 
 
-def _gradients(
+def loss_gradients(
     table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float,
-    groups: AnnotationGroups, eq_rel_row: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed losses and dense gradients: ``_update_block`` at unit weights and step."""
+    annotations: Mapping[NodeId, frozenset[NodeId]],
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """``(l1, l2, node_grad, rel_grad)``: the hinge loss ``[margin + d_pos -
+    d_neg]+`` summed over aligned ``(n, 3)`` row pairs, the equivalence loss
+    ``||b + r_eq - sum(sememes)||^2`` summed over annotated synsets, and the
+    dense gradients of ``l1 + l2`` w.r.t. the node and relation matrices."""
+    if positives.shape != negatives.shape:
+        raise ContractError(
+            f"positives and negatives must align pairwise: {len(positives)} vs {len(negatives)}"
+        )
+    groups = _annotation_groups(table, annotations)
+    # With no groups, no row is written at the equivalence relation (0 here).
+    eq_rel_row = table.relation_index(EQUIVALENCE_RELATION) if annotations else 0
     l1, l2, block, node_idx, rel_idx, rel_src = _update_block(
         table.node_matrix, table.relation_matrix, positives, negatives, margin, groups, eq_rel_row, 1.0, 1.0, 1.0
     )
@@ -297,44 +343,7 @@ def _gradients(
     rel_grad = np.zeros_like(table.relation_matrix)
     _scatter_rows(node_grad, node_idx, block, np.arange(len(node_idx)))
     _scatter_rows(rel_grad, rel_idx, block, rel_src)
-    return l1 + l2, node_grad, rel_grad
-
-
-def margin_ranking_loss(
-    table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float
-) -> float:
-    """Sum of ``[margin + d_pos - d_neg]+`` over aligned ``(n, 3)`` row pairs."""
-    loss, _, _ = margin_loss_gradients(table, positives, negatives, margin)
-    return loss
-
-
-def margin_loss_gradients(
-    table: EmbeddingTable, positives: np.ndarray, negatives: np.ndarray, margin: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Hinge loss with dense gradients w.r.t. the node and relation matrices."""
-    if positives.shape != negatives.shape:
-        raise ContractError(
-            f"positives and negatives must align pairwise: {len(positives)} vs {len(negatives)}"
-        )
-    # With no groups, no row is written at the equivalence relation (0 here).
-    return _gradients(table, positives, negatives, margin, (np.empty(0, dtype=np.intp),) * 3, 0)
-
-
-def equivalence_loss(
-    table: EmbeddingTable, annotations: Mapping[NodeId, frozenset[NodeId]]
-) -> float:
-    """Sum over annotated synsets of ``||b + r_eq - sum(sememes)||^2``."""
-    loss, _, _ = equivalence_loss_gradients(table, annotations)
-    return loss
-
-
-def equivalence_loss_gradients(
-    table: EmbeddingTable, annotations: Mapping[NodeId, frozenset[NodeId]]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Equivalence loss with dense gradients w.r.t. both matrices."""
-    no_pairs = np.empty((0, 3), dtype=np.intp)
-    groups = _annotation_groups(table, annotations)
-    return _gradients(table, no_pairs, no_pairs, 0.0, groups, table.relation_index(EQUIVALENCE_RELATION))
+    return l1, l2, node_grad, rel_grad
 
 
 @dataclass(frozen=True)
@@ -449,10 +458,7 @@ def rank_sememes(
 
     The score of sememe ``s`` is the negated squared distance between
     ``target + r_have`` and ``s``, so closer sememes rank higher.  Pass a
-    :class:`CandidateOrder` to rank many targets over one candidate set:
-    its row indices are kept on ``table`` for the last order seen.  The
-    rows themselves are read on every call, because training updates the
-    matrix in place.
+    :class:`CandidateOrder` to rank many targets over one candidate set.
     """
     if target.kind is not NodeKind.SYNSET:
         raise ContractError(f"prediction target must be a synset, got {target}")
@@ -461,12 +467,6 @@ def rank_sememes(
         raise ContractError(f"empty candidate set for {target}")
     order.check_sememes()
     query = table.node_vector(target) + table.relation_vector(table.have_sememe_relation())
-    memo = table._candidate_rows
-    if memo is not None and memo[0] is order:
-        indices = memo[1]
-    else:
-        # Looked up after the target, so a target without a row is named first.
-        indices = np.array([table.node_index(s) for s in order.nodes], dtype=np.intp)
-        table._candidate_rows = order, indices
-    diff = table.node_matrix[indices] - query[None, :]
+    # Looked up after the target, so a target without a row is named first.
+    diff = table.node_matrix[table.node_rows(order.nodes)] - query[None, :]
     return ScoredRanking.from_array(target, order, -np.einsum("ij,ij->i", diff, diff))

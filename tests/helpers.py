@@ -11,6 +11,9 @@ from semepred import EmbeddingTable, NodeId, RelationId
 from semepred.cli import chain_argv, main
 from semepred.graph import EQUIVALENCE_RELATION
 
+# An empty (0, 3) batch of triplet rows: no hinge pairs.
+NO_PAIRS = np.empty((0, 3), dtype=np.intp)
+
 
 def build_table(
     dimension: int,

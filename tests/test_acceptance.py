@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_table, finite_difference, max_relative_error, run_chain
+from helpers import NO_PAIRS, build_table, finite_difference, max_relative_error, run_chain
 from semepred import (
     FusionConfig,
     Pos,
@@ -45,12 +45,7 @@ from semepred import (
 from semepred.cli import main as cli_main
 from semepred.fusion import PredictionResult, Provenance
 from semepred.graph import EQUIVALENCE_RELATION
-from semepred.kge import (
-    equivalence_loss,
-    equivalence_loss_gradients,
-    margin_loss_gradients,
-    margin_ranking_loss,
-)
+from semepred.kge import loss_gradients
 from semepred.ranking import ScoredRanking
 from semepred.recommender import score_sememes
 from semepred.synthetic import similarity_score_oracle, translation_distance_oracle
@@ -98,22 +93,22 @@ def test_c1_gradients_match_finite_differences():
     margin = 1.5
 
     worst = 0.0
-    _, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, margin)
+    _, _, node_grad, rel_grad = loss_gradients(table, positives, negatives, margin, {})
     fd_nodes = finite_difference(
-        lambda: margin_ranking_loss(table, positives, negatives, margin), table.node_matrix
+        lambda: loss_gradients(table, positives, negatives, margin, {})[0], table.node_matrix
     )
     fd_rels = finite_difference(
-        lambda: margin_ranking_loss(table, positives, negatives, margin), table.relation_matrix
+        lambda: loss_gradients(table, positives, negatives, margin, {})[0], table.relation_matrix
     )
     worst = max(worst, max_relative_error(node_grad, fd_nodes))
     worst = max(worst, max_relative_error(rel_grad, fd_rels))
 
-    _, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+    _, _, node_grad, rel_grad = loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)
     fd_nodes = finite_difference(
-        lambda: equivalence_loss(table, annotations), table.node_matrix
+        lambda: loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)[1], table.node_matrix
     )
     fd_rels = finite_difference(
-        lambda: equivalence_loss(table, annotations), table.relation_matrix
+        lambda: loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)[1], table.relation_matrix
     )
     worst = max(worst, max_relative_error(node_grad, fd_nodes))
     worst = max(worst, max_relative_error(rel_grad, fd_rels))
@@ -380,7 +375,7 @@ def test_c6_hand_fixtures_reproduce_exactly():
     )
     positive = table.triplet_rows([make_triplet(a, "related", b)])
     negative = np.array([[table.node_index(a), positive[0, 1], table.node_index(c)]])
-    assert margin_ranking_loss(table, positive, negative, margin=4.0) == 3.0
+    assert loss_gradients(table, positive, negative, 4.0, {})[0] == 3.0
 
     # Equivalence loss in one dimension: (1.0 + 0.5 - 2.0)^2.
     p, q = sememe_id("p"), sememe_id("q")
@@ -389,7 +384,7 @@ def test_c6_hand_fixtures_reproduce_exactly():
         {a: [1.0], p: [1.0], q: [1.0]},
         {EQUIVALENCE_RELATION: [0.5]},
     )
-    assert equivalence_loss(table, {a: frozenset({p, q})}) == 0.25
+    assert loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, {a: frozenset({p, q})})[1] == 0.25
 
     # Similarity aggregation from two ranked neighbors with decay 0.8.
     neighbors = [(synset_id("b1"), 0.9), (synset_id("b2"), 0.5)]

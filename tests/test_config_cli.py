@@ -320,6 +320,27 @@ class TestExitCodes:
         assert "config error: top_k must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_two_zero_loss_weights_return_one(self, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        data.write_text("syn:a\thave_sememe\tsem:p\ttrain\n", encoding="utf-8")
+        code = main([
+            "train", "--data", str(data), "--out", str(tmp_path / "out"),
+            "--set", "train.dimension=4", "--set", "train.epochs=2",
+            "--set", "train.ranking_weight=0", "--set", "train.equivalence_weight=0",
+        ])
+        assert code == 1
+        assert "config error: at least one loss weight must be positive" in capsys.readouterr().err
+
+    def test_negative_neighbor_cap_names_the_setting(self, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        data.write_text("syn:a\thave_sememe\tsem:p\ttest\n", encoding="utf-8")
+        code = main([
+            "predict", "--model", "similarity", "--data", str(data), "--out", str(tmp_path / "out"),
+            "--set", "sr.neighbor_cap=-1",
+        ])
+        assert code == 1
+        assert "config error: sr.neighbor_cap must be >= 0 (0 = no cap), got -1\n" in capsys.readouterr().err
+
     def test_non_utf8_data_file_returns_two(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"syn:a\trelated\tsyn:b\nsyn:c\trel\xffated\tsyn:d\n")

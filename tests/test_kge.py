@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import build_table, finite_difference, max_relative_error
+from helpers import NO_PAIRS, build_table, finite_difference, max_relative_error
 from semepred import (
     ConfigError,
     ContractError,
@@ -20,13 +20,14 @@ from semepred import (
     SamplingError,
     Split,
     TrainConfig,
+    TrainResult,
     TrainingError,
     TripletStore,
+    UnknownIdError,
     ValidationError,
-    equivalence_loss,
     init_embeddings,
+    loss_gradients,
     make_triplet,
-    margin_ranking_loss,
     rank_sememes,
     score_triplet,
     sememe_id,
@@ -39,9 +40,7 @@ from semepred.kge import (
     EpochLoss,
     _annotation_groups,
     _groups_touching,
-    equivalence_loss_gradients,
     load_loss_trace,
-    margin_loss_gradients,
     save_loss_trace,
 )
 
@@ -71,6 +70,12 @@ class TestTrainConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_two_zero_loss_weights_rejected(self):
+        with pytest.raises(ConfigError, match="at least one loss weight must be positive"):
+            TrainConfig(ranking_weight=0.0, equivalence_weight=0.0)
+        TrainConfig(ranking_weight=0.0)
+        TrainConfig(equivalence_weight=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["margin", "learning_rate", "ranking_weight", "equivalence_weight"])
@@ -123,6 +128,16 @@ class TestEmbeddingFile:
         path.write_bytes(content)
         with pytest.raises(ParseError, match=rf"embeddings\.tsv:{line}: not valid UTF-8"):
             EmbeddingTable.load(path)
+
+    def test_tables_compare_by_identity(self, tmp_path, toy_store):
+        path = tmp_path / "embeddings.tsv"
+        init_embeddings(toy_store, TrainConfig(dimension=4, seed=0)).save(path)
+        first, second = EmbeddingTable.load(path), EmbeddingTable.load(path)
+        assert (first == second) is False
+        assert first == first
+        assert len({first, second}) == 2
+        assert TrainResult(first, ()) != TrainResult(second, ())
+        assert np.array_equal(first.node_matrix, second.node_matrix)
 
     def test_duplicate_id_names_the_line(self, tmp_path):
         path = tmp_path / "embeddings.tsv"
@@ -372,21 +387,20 @@ def _hinge_fixture():
 class TestMarginLoss:
     def test_hand_fixture_is_exactly_three(self):
         table, pos, neg = _hinge_fixture()
-        assert margin_ranking_loss(table, pos, neg, margin=4.0) == 3.0
+        assert loss_gradients(table, pos, neg, 4.0, {})[0] == 3.0
 
     def test_inactive_hinge_is_zero(self):
         table, pos, neg = _hinge_fixture()
-        assert margin_ranking_loss(table, pos, neg, margin=0.5) == 0.0
+        assert loss_gradients(table, pos, neg, 0.5, {})[0] == 0.0
 
     def test_empty_batch_is_zero(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=0))
-        empty = np.empty((0, 3), dtype=np.intp)
-        assert margin_ranking_loss(table, empty, empty, margin=4.0) == 0.0
+        assert loss_gradients(table, NO_PAIRS, NO_PAIRS, 4.0, {})[0] == 0.0
 
     def test_misaligned_batches_rejected(self):
         table, pos, neg = _hinge_fixture()
         with pytest.raises(ContractError):
-            margin_ranking_loss(table, np.vstack([pos, pos]), neg, margin=4.0)
+            loss_gradients(table, np.vstack([pos, pos]), neg, 4.0, {})
 
 
 class TestEquivalenceLoss:
@@ -399,7 +413,7 @@ class TestEquivalenceLoss:
             {EQUIVALENCE_RELATION: [0.5, 0.5]},
             include_equivalence=False,
         )
-        assert equivalence_loss(table, {b: frozenset({p, q})}) == 0.0
+        assert loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, {b: frozenset({p, q})})[1] == 0.0
 
     def test_one_dimensional_hand_value(self):
         b = synset_id("b")
@@ -410,11 +424,11 @@ class TestEquivalenceLoss:
             {EQUIVALENCE_RELATION: [0.5]},
             include_equivalence=False,
         )
-        assert equivalence_loss(table, {b: frozenset({p, q})}) == 0.25
+        assert loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, {b: frozenset({p, q})})[1] == 0.25
 
     def test_empty_annotation_map_is_zero(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=0))
-        assert equivalence_loss(table, {}) == 0.0
+        assert loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, {})[1] == 0.0
 
 
 class TestAnnotationGroups:
@@ -445,13 +459,13 @@ class TestGradients:
         positives = table.triplet_rows(toy_store.triplets)
         negatives = NegativeSampler(table, positives).sample(positives, random.Random(4))
         margin = 4.0
-        loss, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, margin)
+        loss, _, node_grad, rel_grad = loss_gradients(table, positives, negatives, margin, {})
         assert loss > 0
         fd_nodes = finite_difference(
-            lambda: margin_ranking_loss(table, positives, negatives, margin), table.node_matrix
+            lambda: loss_gradients(table, positives, negatives, margin, {})[0], table.node_matrix
         )
         fd_rels = finite_difference(
-            lambda: margin_ranking_loss(table, positives, negatives, margin), table.relation_matrix
+            lambda: loss_gradients(table, positives, negatives, margin, {})[0], table.relation_matrix
         )
         assert max_relative_error(node_grad, fd_nodes) < 1e-4
         assert max_relative_error(rel_grad, fd_rels) < 1e-4
@@ -459,16 +473,31 @@ class TestGradients:
     def test_equivalence_gradients_match_finite_differences(self, toy_store):
         table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=2))
         annotations = toy_store.annotation_map(Split.TRAIN)
-        loss, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+        _, loss, node_grad, rel_grad = loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)
         assert loss > 0
         fd_nodes = finite_difference(
-            lambda: equivalence_loss(table, annotations), table.node_matrix
+            lambda: loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)[1], table.node_matrix
         )
         fd_rels = finite_difference(
-            lambda: equivalence_loss(table, annotations), table.relation_matrix
+            lambda: loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)[1], table.relation_matrix
         )
         assert max_relative_error(node_grad, fd_nodes) < 1e-4
         assert max_relative_error(rel_grad, fd_rels) < 1e-4
+
+    def test_both_losses_in_one_call_match_finite_differences(self, toy_store):
+        table = init_embeddings(toy_store, TrainConfig(dimension=4, seed=2))
+        positives = table.triplet_rows(toy_store.triplets)
+        negatives = NegativeSampler(table, positives).sample(positives, random.Random(4))
+        annotations = toy_store.annotation_map(Split.TRAIN)
+
+        def total() -> float:
+            l1, l2, _, _ = loss_gradients(table, positives, negatives, 4.0, annotations)
+            return l1 + l2
+
+        l1, l2, node_grad, rel_grad = loss_gradients(table, positives, negatives, 4.0, annotations)
+        assert l1 > 0 and l2 > 0
+        assert max_relative_error(node_grad, finite_difference(total, table.node_matrix)) < 1e-4
+        assert max_relative_error(rel_grad, finite_difference(total, table.relation_matrix)) < 1e-4
 
 
 def _forced_negative_store() -> TripletStore:
@@ -562,10 +591,11 @@ class TestTrain:
                 afters[epoch * per_epoch : (epoch + 1) * per_epoch],
             ):
                 before = EmbeddingTable(final.dimension, final.node_ids, final.relation_ids, node_m, rel_m)
-                l1 += margin_ranking_loss(before, positives, negatives, config.margin)
                 batch_nodes = {final.node_ids[row] for row in positives[:, ::2].ravel()}
                 constrained = {s: annotations[s] for s in batch_nodes & annotations.keys()}
-                l2 += equivalence_loss(before, constrained)
+                batch_l1, batch_l2, _, _ = loss_gradients(before, positives, negatives, config.margin, constrained)
+                l1 += batch_l1
+                l2 += batch_l2
                 reachable = {*positives[:, ::2].ravel(), *negatives[:, ::2].ravel()}
                 reachable |= {final.node_index(s) for sememes in constrained.values() for s in sememes}
                 changed = np.flatnonzero(np.any(after != node_m, axis=1))
@@ -641,8 +671,8 @@ class TestRankSememes:
         return nodes, {have: rng.normal(size=3)}
 
     def test_changed_candidate_set_is_ranked_anew(self):
-        # The candidate rows are kept on the table between calls, so they
-        # must follow the candidate set's value.
+        # Each call ranks the candidate set it is given, whatever the
+        # previous call ranked.
         nodes, relations = self._random_table()
         table = build_table(3, nodes, relations)
         wide = [sememe_id(f"s{i}") for i in range(6)]
@@ -675,6 +705,15 @@ class TestRankSememes:
         for _ in range(2):
             with pytest.raises(ContractError, match="candidate syn:b is not a sememe"):
                 rank_sememes(table, synset_id("a"), candidates)
+
+    def test_a_missing_row_is_named_target_first(self):
+        nodes, relations = self._random_table()
+        table = build_table(3, nodes, relations)
+        candidates = [sememe_id("s1"), sememe_id("new"), sememe_id("s2")]
+        with pytest.raises(UnknownIdError, match="^no embedding for node sem:new$"):
+            rank_sememes(table, synset_id("b0"), candidates)
+        with pytest.raises(UnknownIdError, match="^no embedding for node syn:new$"):
+            rank_sememes(table, synset_id("new"), candidates)
 
     def test_equidistant_candidates_tie_break_by_name(self):
         b = synset_id("b")

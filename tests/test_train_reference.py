@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import NO_PAIRS
 from semepred import Split, SynthConfig, TrainConfig, generate, train
 from semepred.embeddings import EmbeddingTable
 from semepred.graph import EQUIVALENCE_RELATION, sememe_id, synset_id
@@ -32,9 +33,8 @@ from semepred.kge import (
     _groups_touching,
     _scatter_rows,
     _update_block,
-    equivalence_loss_gradients,
     init_embeddings,
-    margin_loss_gradients,
+    loss_gradients,
 )
 
 KERNELS = (_scatter_rows,)
@@ -214,7 +214,7 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
     rel_ref = np.zeros_like(table.relation_matrix)
     np.add.at(node_ref, node_idx, node_rows)
     np.add.at(rel_ref, rel_idx, rel_rows)
-    _, node_grad, rel_grad = margin_loss_gradients(table, positives, negatives, 4.0)
+    _, _, node_grad, rel_grad = loss_gradients(table, positives, negatives, 4.0, {})
     np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
     np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
 
@@ -227,7 +227,7 @@ def test_gradients_are_bit_identical_to_add_at(c5_store):
     rel_ref = np.zeros_like(table.relation_matrix)
     np.add.at(node_ref, node_idx, node_rows)
     np.add.at(rel_ref, rel_idx, rel_rows)
-    _, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+    _, _, node_grad, rel_grad = loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)
     np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
     np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
 
@@ -271,15 +271,14 @@ def test_equivalence_sums_keep_signed_zeros(fraction, width, size):
     rel_ref = np.zeros_like(table.relation_matrix)
     np.add.at(node_ref, node_idx, node_rows)
     np.add.at(rel_ref, rel_idx, rel_rows)
-    loss, node_grad, rel_grad = equivalence_loss_gradients(table, annotations)
+    _, loss, node_grad, rel_grad = loss_gradients(table, NO_PAIRS, NO_PAIRS, 0.0, annotations)
     assert float.hex(loss) == float.hex(ref_loss)
     np.testing.assert_array_equal(_bits(node_grad), _bits(node_ref))
     np.testing.assert_array_equal(_bits(rel_grad), _bits(rel_ref))
     # A dense gradient starts at +0.0, which hides the sign of a zero row
     # entry, so the update rows are compared as well.
-    no_pairs = np.empty((0, 3), dtype=np.intp)
     _, l2, block, got_node_idx, got_rel_idx, rel_src = _update_block(
-        table.node_matrix, table.relation_matrix, no_pairs, no_pairs, 0.0, groups, 0, 1.0, 1.0, 1.0
+        table.node_matrix, table.relation_matrix, NO_PAIRS, NO_PAIRS, 0.0, groups, 0, 1.0, 1.0, 1.0
     )
     assert float.hex(l2) == float.hex(ref_loss)
     np.testing.assert_array_equal(got_node_idx, node_idx)
